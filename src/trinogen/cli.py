@@ -7,20 +7,23 @@ the text renderer is a pure projection of the same dict.  Scan output is
 deterministic row content in lexicographic (r, a, b) order regardless of
 worker count; only the runtime_micros measurement varies between runs.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 irreducibility not certified (and --assume-irreducible absent).
+Exit codes: 0 success, 1 verification mismatch (or stdout closed early),
+2 usage or input error, 3 irreducibility not certified (and
+--assume-irreducible absent).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__, monogenity, newton, ore
-from .exactnum import is_probable_prime, strip_p, trial_factor, valp
+from . import __version__, exactnum, monogenity, newton, ore
+from .exactnum import factored, is_probable_prime, strip_factored, strip_p
+from .exactnum import trial_factor  # noqa: F401 - bench/test_bench.py reaches it here
 from .monogenity import (
     SquarefreeStatus,
     Trinomial,
@@ -58,7 +61,7 @@ def _digest(value: int, bound: int | None = None) -> str:
         return sign + "1"
     if bound is None:
         bound = monogenity._sf_bound()
-    small, cofactor = trial_factor(t, bound)
+    small, cofactor = factored(t, bound)
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in small]
     if cofactor > 1:
         parts.append(str(cofactor))
@@ -205,7 +208,7 @@ def build_report(
     else:
         primes = set()
         if disc != 0:
-            small, _ = trial_factor(abs(disc), bound)
+            small, _ = factored(disc, bound)
             primes |= {p for p, e in small if e >= 2}
         if v.p is not None:
             primes.add(v.p)
@@ -217,20 +220,20 @@ def build_report(
     for p in primes:
         if disc == 0:
             break
-        stripped = strip_p(p, disc)
+        stripped = strip_factored(p, disc, bound)
         disc_primes.append(
             {
                 "p": str(p),
                 "nu": str(stripped.nu),
                 "stripped_digest": _digest(stripped.unit_part, bound),
-                "stripped_status": squarefree_status(stripped.unit_part).value,
+                "stripped_status": squarefree_status(stripped.unit_part, bound).value,
             }
         )
 
     evidence = []
     for p in primes:
         try:
-            fact = ore.factor_p(T.poly(), p)
+            fact = ore.shared_factor_p(T.poly(), p)
         except MalformedInput as exc:
             evidence.append({"p": str(p), "error": str(exc)})
             continue
@@ -498,18 +501,18 @@ def cmd_scan(args) -> int:
         print(f"error: m={m} is out of range for r={r}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.jobs == 1:
-        rows = map(_scan_row, items)
-    else:
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
-        rows = pool.map(_scan_row, items, chunksize=8)
-
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot open {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    pool = None
     try:
+        if args.jobs == 1:
+            rows = map(_scan_row, items)
+        else:
+            pool = ProcessPoolExecutor(max_workers=args.jobs)
+            rows = pool.map(_scan_row, items, chunksize=8)
         if args.format == "csv":
             out.write(",".join(SCAN_COLUMNS) + "\n")
             for row in rows:
@@ -525,8 +528,9 @@ def cmd_scan(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-        if args.jobs > 1:
-            pool.shutdown()
+        if pool is not None:
+            # Rows not yet computed are not needed once writing has failed.
+            pool.shutdown(cancel_futures=True)
     return EXIT_OK
 
 
@@ -736,6 +740,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_glue_range_values(list(argv)))
+    # Facts are shared within one command, not across commands, so what a
+    # command computes does not depend on what ran before it in this process.
+    exactnum.FACTORIZATIONS.clear()
+    ore.SPLITTINGS.clear()
     try:
         return args.func(args)
     except ValueError as exc:
@@ -746,4 +754,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console entry point: ``main`` with its exit code.
+
+    When the reader of stdout goes away (``trinogen analyze ... | head -1``),
+    exit quietly with status 1 instead of printing a traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail a second time (the recipe in the signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -6,6 +6,13 @@ counting monic irreducible polynomials over a prime field, and the linear
 Diophantine solver used to build power-quotient generators.  No floats are
 used anywhere; the valuation of zero is the distinguished :data:`INFINITY`
 object rather than a sentinel integer.
+
+Trial division tries the first block of primes one by one and every later
+block at once, by a gcd with the block's product (Bernstein, *How to find
+smooth parts of integers*, 2004).  :func:`factored` shares the result among
+the callers that ask about the same integer, and :func:`strip_factored`
+derives the factorization of ``t / p**nu`` from that of ``t`` without
+dividing again.
 """
 
 from __future__ import annotations
@@ -232,33 +239,150 @@ def primes_below(bound: int) -> tuple[int, ...]:
     return tuple(i for i in range(bound) if sieve[i])
 
 
+# Primes are tried in blocks of this many: the first block one by one, each
+# later block by one gcd with the product of its primes.
+_BLOCK = 256
+
+
+@lru_cache(maxsize=4)
+def _block_products(bound: int) -> tuple[int, ...]:
+    """Products of the blocks of primes < bound after the first block.
+
+    Cached beside ``primes_below``; about 180 KB for bound 10**6.
+    """
+    primes = primes_below(bound)
+    return tuple(
+        math.prod(primes[i : i + _BLOCK]) for i in range(_BLOCK, len(primes), _BLOCK)
+    )
+
+
 def trial_factor(t: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     """Factor |t| by trial division with primes < bound.
 
     Returns (factors, cofactor) where factors is a list of (p, multiplicity)
     pairs in increasing p and cofactor is the unfactored remainder (1 when
     the factorization is complete).  t must be nonzero.
+
+    The first block of primes is tried one by one.  Each later block is
+    tried at once: gcd(t, product of the block) is 1 unless some prime of the
+    block divides t, and only then are that block's primes tried one by one.
+    The block products are built the first time some t outlives the first
+    block.  Division stops once the square of the next prime exceeds what
+    is left of t, which is then 1 or a prime.
     """
     if t == 0:
         raise ValueError("cannot factor zero")
     t = abs(t)
+    primes = primes_below(bound)
     out: list[tuple[int, int]] = []
-    for p in primes_below(bound):
+
+    def divide_out(p: int) -> None:
+        nonlocal t
+        nu = 0
+        while t % p == 0:
+            t //= p
+            nu += 1
+        out.append((p, nu))
+
+    for p in primes[:_BLOCK]:
         if p * p > t:
             break
         if t % p == 0:
-            nu = 0
-            while t % p == 0:
-                t //= p
-                nu += 1
-            out.append((p, nu))
+            divide_out(p)
+    else:  # t outlived the first block
+        for k, product in enumerate(_block_products(bound), 1):
+            lo = k * _BLOCK
+            if primes[lo] * primes[lo] > t:
+                break
+            g = math.gcd(t, product)
+            if g == 1:
+                continue
+            for p in primes[lo : lo + _BLOCK]:
+                if g % p == 0:
+                    divide_out(p)
+                    g //= p
+                    if g == 1:
+                        break
     if 1 < t < bound * bound:
-        # Either the loop broke at p*p > t (all smaller primes tried, so t is
-        # prime) or every prime below the bound was tried, in which case all
-        # factors of t are >= bound and a composite t would be >= bound**2.
+        # Either division stopped at p*p > t (all smaller primes tried, so t
+        # is prime) or every prime below the bound was tried, in which case
+        # all factors of t are >= bound and a composite t would be >= bound**2.
         out.append((t, 1))
         t = 1
     return out, t
+
+
+class Memo:
+    """The results of a pure function for its ``size`` most recent keys.
+
+    Values must be immutable and never None: every caller shares them.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._items: dict = {}
+
+    def get(self, key):
+        """The value remembered for ``key``, now the most recent, or None."""
+        value = self._items.pop(key, None)
+        if value is not None:
+            self._items[key] = value
+        return value
+
+    def put(self, key, value):
+        """Remember ``value`` for ``key``, dropping the least recent key if full."""
+        self._items.pop(key, None)
+        self._items[key] = value
+        if len(self._items) > self.size:
+            del self._items[next(iter(self._items))]
+        return value
+
+    def clear(self) -> None:
+        self._items.clear()
+
+
+# (factors, cofactor) as trial_factor returns them, frozen into tuples.
+Factorization = tuple[tuple[tuple[int, int], ...], int]
+
+# Factorizations keyed by (|t|, bound).  A report asks about the same few
+# integers several times (the discriminant, its stripped parts, gcd(a, b));
+# this keeps each to one trial division.
+FACTORIZATIONS = Memo(64)
+
+
+def factored(t: int, bound: int) -> Factorization:
+    """``trial_factor(t, bound)`` as tuples, shared through FACTORIZATIONS.
+
+    t must be nonzero.
+    """
+    key = (abs(t), bound)
+    hit = FACTORIZATIONS.get(key)
+    if hit is None:
+        small, cofactor = trial_factor(t, bound)
+        hit = FACTORIZATIONS.put(key, (tuple(small), cofactor))
+    return hit
+
+
+def strip_factored(p: int, t: int, bound: int) -> StrippedInt:
+    """``strip_p(p, t)``, with the stripped part's factorization derived.
+
+    The factorization of the unit part is that of t without p, exactly what
+    ``trial_factor`` returns for it: no integer is divided again.  A p at or
+    above the bound can only divide an unfactored cofactor; what is left of
+    that cofactor is claimed as a prime when it is below bound**2, by the
+    rule of ``trial_factor``.  The result is remembered, so a later
+    ``factored`` call on the unit part shares it.
+    """
+    stripped = strip_p(p, t)
+    small, cofactor = factored(t, bound)
+    kept = tuple(fe for fe in small if fe[0] != p)
+    while cofactor % p == 0:
+        cofactor //= p
+    if 1 < cofactor < bound * bound:
+        kept += ((cofactor, 1),)
+        cofactor = 1
+    FACTORIZATIONS.put((abs(stripped.unit_part), bound), (kept, cofactor))
+    return stripped
 
 
 def iroot(t: int, k: int) -> int:

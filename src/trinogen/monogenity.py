@@ -32,10 +32,11 @@ from .newton import MalformedInput
 from .exactnum import (
     count_monic_irreducibles,
     dioph_solve,
+    factored,
     is_certified_prime,
     perfect_power,
-    strip_p,
-    trial_factor,
+    strip_factored,
+    trial_factor,  # noqa: F401 - bench/test_bench.py reaches it through this module
     valp,
 )
 from .ore import OreFactorization
@@ -52,6 +53,8 @@ class InternalContradiction(RuntimeError):
 
 
 DEFAULT_SF_BOUND = 10**6
+# The prime sieve and the block products both grow with the bound.
+MAX_SF_BOUND = 10**7
 
 _SF_BOUND_ENV = "TRINOGEN_SF_BOUND"
 
@@ -64,8 +67,10 @@ def _sf_bound() -> int:
         bound = int(raw)
     except ValueError as exc:
         raise ValueError(f"{_SF_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if bound < 2:
-        raise ValueError(f"{_SF_BOUND_ENV} must be >= 2, got {bound}")
+    if not 2 <= bound <= MAX_SF_BOUND:
+        raise ValueError(
+            f"{_SF_BOUND_ENV} must be between 2 and {MAX_SF_BOUND}, got {bound}"
+        )
     return bound
 
 
@@ -154,8 +159,9 @@ class SquarefreeStatus(enum.Enum):
 def squarefree_status(t: int, bound: int | None = None) -> SquarefreeStatus:
     """Best-effort squarefree certificate for a nonzero integer.
 
-    Trial division up to ``bound`` (default 10**6, overridable via the
-    TRINOGEN_SF_BOUND environment variable), then a perfect-power check and
+    Trial division up to ``bound`` (default 10**6, overridable up to 10**7
+    via the TRINOGEN_SF_BOUND environment variable; the factorization is
+    shared through ``exactnum.factored``), then a perfect-power check and
     a primality test on the cofactor.  SquareFree is returned only when the
     factorization into distinct primes is fully certified; a probable prime
     above the deterministic-test range yields Unknown, as does an
@@ -163,12 +169,9 @@ def squarefree_status(t: int, bound: int | None = None) -> SquarefreeStatus:
     """
     if t == 0:
         raise ValueError("squarefree status of 0 is undefined")
-    t = abs(t)
-    if t == 1:
-        return SquarefreeStatus.SQUARE_FREE
     if bound is None:
         bound = _sf_bound()
-    small, cofactor = trial_factor(t, bound)
+    small, cofactor = factored(t, bound)
     if any(e >= 2 for _, e in small):
         return SquarefreeStatus.NOT_SQUARE_FREE
     if cofactor == 1:
@@ -207,7 +210,7 @@ def _candidate_primes(T: Trinomial, bound: int) -> list[int]:
     base = abs(T.b) if T.a == 0 else math.gcd(abs(T.a), abs(T.b))
     if base <= 1:
         return []
-    small, cofactor = trial_factor(base, bound)
+    small, cofactor = factored(base, bound)
     out = [p for p, _ in small]
     if cofactor > 1 and is_certified_prime(cofactor):
         out.append(cofactor)
@@ -316,7 +319,8 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
         raise InternalContradiction("alpha minimal polynomial has wrong shape")
     if not _is_eisenstein(H, p):
         raise InternalContradiction("alpha minimal polynomial is not p-Eisenstein")
-    status = squarefree_status(strip_p(p, disc).unit_part)
+    bound = _sf_bound()
+    status = squarefree_status(strip_factored(p, disc, bound).unit_part, bound)
     return AlphaCert(
         p=p,
         k=k,
@@ -515,7 +519,7 @@ def _inconclusive_bounds(
     irreducibility certificate in hand such a detection is impossible, so
     it is escalated to an internal error instead of being reported.
     """
-    small, _ = trial_factor(abs(disc), _sf_bound())
+    small, _ = factored(disc, _sf_bound())
     entries = []
     proof: str | None = None
     for p, e in small:
@@ -579,7 +583,7 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
             confirmed = True
             problem = None
             try:
-                fact = ore.factor_p(T.poly(), 2)
+                fact = ore.shared_factor_p(T.poly(), 2)
             except MalformedInput as exc:
                 confirmed = False
                 problem = str(exc)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffactor, newton
-from .exactnum import INFINITY, is_probable_prime
+from .exactnum import INFINITY, Memo, is_probable_prime
 from .ffactor import FqFactorization
 from .newton import MalformedInput, PrincipalPolygon, ResidualPolynomial, Side
 from .polyring import PolyZ, phi_expand, reduce_mod
@@ -158,10 +158,24 @@ def factor_p(F: PolyZ, p: int) -> OreFactorization:
     )
 
 
+# factor_p results keyed by (F, p).  The verdict, the report's evidence and a
+# scan row's index column all ask for the same analysis.
+SPLITTINGS = Memo(16)
+
+
+def shared_factor_p(F: PolyZ, p: int) -> OreFactorization:
+    """``factor_p(F, p)``, shared through SPLITTINGS; the result is frozen."""
+    key = (F, p)
+    hit = SPLITTINGS.get(key)
+    if hit is None:
+        hit = SPLITTINGS.put(key, factor_p(F, p))
+    return hit
+
+
 def index_bound(F: PolyZ, p: int) -> tuple[int, bool]:
     """(sum of polygon indices at p, whether the bound is exact).
 
     The bound is exact precisely when F is p-regular.
     """
-    result = factor_p(F, p)
+    result = shared_factor_p(F, p)
     return result.index_lower_bound, result.regular

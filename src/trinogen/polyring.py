@@ -405,6 +405,22 @@ def _digits_divmod(num: list[int], den: Sequence[int], p: int) -> tuple[list[int
     return q, num
 
 
+def _digits_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of F_p[t] digit lists with digits in [0, p), reduced mod p.
+
+    Kronecker substitution: each list is packed into one integer, in byte
+    slots wide enough for any coefficient of the product over Z, so the whole
+    product is one big-integer multiplication.
+    """
+    if not a or not b:
+        return []
+    width = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+    x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
+    raw = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
+
+
 class FqField:
     """The finite field F_p[t]/(modulus).
 
@@ -613,6 +629,8 @@ class FqPoly:
     Immutable and normalized (no leading zero elements).  Coefficients are
     canonical field elements.  The canonical sort key used everywhere for
     deterministic factor ordering is (degree, coefficient tuple sequence).
+    Over a prime field, products, division and ``pow_mod`` run on plain
+    digit lists, and a product takes one big-integer multiplication.
     """
 
     __slots__ = ("field", "coeffs")
@@ -693,6 +711,10 @@ class FqPoly:
         if self.field != other.field:
             raise ValueError("mixed-field polynomial arithmetic")
 
+    def _digits(self) -> list[int]:
+        """Coefficients as plain ints; only meaningful over a prime field."""
+        return [c[0] for c in self.coeffs]
+
     def __add__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
         fld = self.field
@@ -714,6 +736,8 @@ class FqPoly:
         fld = self.field
         if self.is_zero() or other.is_zero():
             return FqPoly(fld, ())
+        if fld.deg == 1:
+            return _from_digits(fld, _digits_mul(self._digits(), other._digits(), fld.p))
         out = [fld.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if any(a):
@@ -744,6 +768,9 @@ class FqPoly:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         fld = self.field
+        if fld.deg == 1:
+            q, r = _digits_divmod(self._digits(), den._digits(), fld.p)
+            return _from_digits(fld, q), _from_digits(fld, r)
         inv_lead = fld.inv(den.leading)
         rem = list(self.coeffs)
         dd = den.degree
@@ -785,7 +812,19 @@ class FqPoly:
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
         if e < 0:
             raise ValueError("negative exponent")
-        out = self.field.poly([1])
+        fld = self.field
+        if fld.deg == 1 and e:
+            # Over the prime field the whole loop runs on digit lists.
+            p, m = fld.p, mod._digits()
+            base = _digits_divmod(self._digits(), m, p)[1]
+            acc = [1]
+            while e:
+                if e & 1:
+                    acc = _digits_divmod(_digits_mul(acc, base, p), m, p)[1]
+                base = _digits_divmod(_digits_mul(base, base, p), m, p)[1]
+                e >>= 1
+            return _from_digits(fld, acc)
+        out = fld.poly([1])
         base = self % mod
         while e:
             if e & 1:
@@ -804,6 +843,11 @@ class FqPoly:
         for c in reversed(self.coeffs):
             out = fld.add(fld.mul(out, e), c)
         return out
+
+
+def _from_digits(field: FqField, digits: Sequence[int]) -> FqPoly:
+    """FqPoly over the prime field ``field`` from digits in [0, p)."""
+    return FqPoly(field, [(c,) for c in digits])
 
 
 def reduce_mod(f: PolyZ, p: int) -> FqPoly:

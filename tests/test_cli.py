@@ -13,11 +13,13 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import trinogen
+from trinogen import cli, exactnum, ore
 from trinogen.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
@@ -390,6 +392,75 @@ class TestScan:
         assert code == EXIT_USAGE
         assert "cannot open" in err
 
+    def test_unwritable_output_path_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, items, chunksize=1):
+                mapped.append(len(items))
+                return map(fn, items)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        code = main(
+            [
+                "scan",
+                "--r-range", "3:3",
+                "--a-range", "8:8",
+                "--b-range", "8:8",
+                "--jobs", "2",
+                "--out", str(tmp_path / "no" / "such" / "dir.jsonl"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "cannot open" in err
+        assert mapped == [], "rows were computed for an output that cannot be opened"
+
+
+# -- each fact once ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "8", "--a", "8", "--b", "8"),  # alpha generator
+        ("--n", "8", "--a", "12", "--b", "3"),  # common index divisor at 2
+        ("--n", "4", "--a", "4", "--b", "4", "--assume-irreducible"),  # index bounds
+    ],
+)
+def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
+    divided, analysed = Counter(), Counter()
+    trial_factor, factor_p = exactnum.trial_factor, ore.factor_p
+
+    def counting_trial_factor(t, bound):
+        divided[abs(t), bound] += 1
+        return trial_factor(t, bound)
+
+    def counting_factor_p(F, p):
+        analysed[F, p] += 1
+        return factor_p(F, p)
+
+    # Replace each function under every name a trinogen module holds it by.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trinogen"):
+            for attr, value in list(vars(module).items()):
+                if value is trial_factor:
+                    monkeypatch.setattr(module, attr, counting_trial_factor)
+                elif value is factor_p:
+                    monkeypatch.setattr(module, attr, counting_factor_p)
+    # A second run of the same command computes the same facts again, once.
+    for run in (1, 2):
+        code, _, _ = run_cli(capsys, "analyze", "--json", *argv)
+        assert code == EXIT_OK
+        assert divided and set(divided.values()) == {run}, divided
+        assert analysed and set(analysed.values()) == {run}, analysed
+
 
 # -- verify ----------------------------------------------------------------------
 
@@ -457,6 +528,19 @@ class TestConsoleScript:
             timeout=60,
         )
         assert proc.returncode == EXIT_UNCERTIFIED
+
+    def test_closed_stdout_exits_quietly(self):
+        cmd, env = module_command("analyze", "--n", "8", "--a", "8", "--b", "8", "--json")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                cmd, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != EXIT_OK
+        assert proc.stderr == ""
 
     def test_negative_b_range_parses(self):
         cmd, env = module_command("scan", "--r-range", "3:3", "--a-range", "8:8",

@@ -9,21 +9,25 @@ from trinogen.exactnum import (
     INFINITY,
     MR_CERTIFIED_BOUND,
     Infinity,
+    Memo,
     NotCoprime,
     StrippedInt,
     binom_val2,
     count_monic_irreducibles,
     dioph_solve,
+    factored,
     iroot,
     is_certified_prime,
     is_finite,
     is_probable_prime,
     perfect_power,
     primes_below,
+    strip_factored,
     strip_p,
     trial_factor,
     valp,
 )
+from trinogen import exactnum
 
 
 class TestInfinity:
@@ -230,6 +234,128 @@ class TestTrialFactor:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             trial_factor(0, 10)
+
+
+def reference_trial_factor(t, bound):
+    """Trial division by every prime below the bound, one at a time."""
+    t = abs(t)
+    out = []
+    for p in primes_below(bound):
+        if p * p > t:
+            break
+        if t % p == 0:
+            nu = 0
+            while t % p == 0:
+                t //= p
+                nu += 1
+            out.append((p, nu))
+    if 1 < t < bound * bound:
+        out.append((t, 1))
+        t = 1
+    return out, t
+
+
+def next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+# 2, 3 and 10 hold no full block; 1620 holds exactly the first block of 256
+# primes (the 256th is 1619); the others end in the middle of a later block.
+BLOCK_BOUNDS = (2, 3, 10, 1620, 1621, 1700, 5003, 40000, 10**6)
+
+
+def seeded_cases(rng, bound):
+    """Integers whose factors straddle the blocks below ``bound`` and beyond it."""
+    primes = primes_below(bound)
+    top = primes[-1] if primes else None
+    beyond = next_prime(bound)
+    cases = [1, -1, 2, -2, 3 * beyond, beyond * next_prime(beyond + 1), beyond**2]
+    if top is not None:
+        cases += [top, -top, top * top, 4 * top * top * beyond]
+    # The first and the last prime of every block of 256.
+    edges = [primes[i] for k in range(256, len(primes), 256) for i in (k - 1, k)]
+    for _ in range(30):
+        t = rng.choice((1, -1))
+        for _ in range(rng.randint(0, 5)):
+            if edges and rng.random() < 0.3:
+                p = rng.choice(edges)
+            elif primes and rng.random() < 0.8:
+                p = rng.choice(primes[: rng.choice((8, 256, len(primes)))])
+            else:
+                p = next_prime(rng.randint(bound, 3 * bound))
+            t *= p ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            t *= rng.getrandbits(rng.choice((20, 64, 400))) | 1
+        cases.append(t)
+    return cases
+
+
+class TestBlockTrialFactor:
+    """trial_factor and the stripped-part derivation against per-prime division."""
+
+    @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+    def test_matches_reference(self, rng, bound):
+        for t in seeded_cases(rng, bound):
+            assert trial_factor(t, bound) == reference_trial_factor(t, bound), t
+
+    def test_cofactor_between_bound_and_its_square(self):
+        bound = 40000
+        q = next_prime(bound + 1)
+        assert trial_factor(-8 * q, bound) == ([(2, 3), (q, 1)], 1)
+        r = next_prime(q + 1)
+        assert trial_factor(8 * q * r, bound) == ([(2, 3)], q * r)
+
+    def test_largest_prime_below_bound_and_its_square(self):
+        bound = 5003
+        top = primes_below(bound)[-1]
+        assert trial_factor(top, bound) == ([(top, 1)], 1)
+        assert trial_factor(top * top, bound) == ([(top, 2)], 1)
+        assert trial_factor(top * top * next_prime(bound), bound) == (
+            [(top, 2), (next_prime(bound), 1)],
+            1,
+        )
+
+    def test_factored_is_frozen(self):
+        assert factored(-720, 10) == (((2, 4), (3, 2), (5, 1)), 1)
+
+    def test_memo_drops_the_least_recent_key(self):
+        memo = Memo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # "a" is now more recent than "b"
+        memo.put("c", 3)
+        assert (memo.get("b"), memo.get("a"), memo.get("c")) == (None, 1, 3)
+
+    @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+    def test_stripped_part_derived_exactly(self, rng, monkeypatch, bound):
+        for t in seeded_cases(rng, bound):
+            small, cofactor = reference_trial_factor(t, bound)
+            primes = [p for p, _ in small] + [2, 3, next_prime(bound)]
+            if cofactor > 1:
+                primes.append(next_prime(rng.randint(2, 100)))
+            for p in rng.sample(primes, min(3, len(primes))):
+                stripped = strip_factored(p, t, bound)
+                assert stripped == strip_p(p, t)
+                expected = reference_trial_factor(stripped.unit_part, bound)
+
+                def no_division(*_args):
+                    raise AssertionError("the stripped part was divided again")
+
+                with monkeypatch.context() as m:
+                    m.setattr(exactnum, "trial_factor", no_division)
+                    got = factored(stripped.unit_part, bound)
+                assert got == (tuple(expected[0]), expected[1]), (t, p)
+
+    def test_prime_past_bound_stripped_from_cofactor(self):
+        bound = 100
+        q, r = next_prime(101), next_prime(1000)
+        assert factored(4 * q * q * r, bound) == (((2, 2),), q * q * r)
+        stripped = strip_factored(q, 4 * q * q * r, bound)
+        assert stripped == StrippedInt(2, 4 * r)
+        # r < bound**2 is now claimed as prime, as trial_factor claims it.
+        assert factored(4 * r, bound) == (((2, 2), (r, 1)), 1)
 
 
 class TestIrootPerfectPower:

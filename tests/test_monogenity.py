@@ -194,7 +194,7 @@ class TestSquarefreeStatus:
         monkeypatch.setenv("TRINOGEN_SF_BOUND", "1000")
         assert squarefree_status(221) is SquarefreeStatus.SQUARE_FREE
 
-    @pytest.mark.parametrize("raw", ["abc", "1", "-5"])
+    @pytest.mark.parametrize("raw", ["abc", "1", "-5", "10000001"])
     def test_env_override_validated(self, monkeypatch, raw):
         monkeypatch.setenv("TRINOGEN_SF_BOUND", raw)
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_mul, gf_pow_mod
 
 from conftest import random_monic_polyz, random_polyz, sympy_poly
 from trinogen.exactnum import INFINITY
@@ -383,3 +385,63 @@ class TestFqPoly:
         m = f.monic()
         assert m.is_monic()
         assert m.cmul(f.leading) == f
+
+
+def _gf(f: FqPoly) -> list[int]:
+    """A prime-field FqPoly as a sympy galoistools list (descending, ints)."""
+    return [int(c[0]) for c in reversed(f.coeffs)]
+
+
+class TestPrimeFieldDigitArithmetic:
+    """Over F_p, FqPoly's product, division and pow_mod run on packed digit lists."""
+
+    PRIMES = (2, 3, 5, 7, 257, 10007, 999983)
+
+    def _poly(self, F, rng, length, top=None):
+        digits = [rng.randrange(F.p) for _ in range(length)]
+        if top is not None and length:
+            digits[-1] = top
+        return F.poly(digits)
+
+    def test_mul_and_divrem_against_sympy(self, rng):
+        for p in self.PRIMES:
+            F = get_field(p)
+            for _ in range(40):
+                f = self._poly(F, rng, rng.randint(0, 70))
+                g = self._poly(F, rng, rng.randint(1, 40), top=rng.randrange(1, p))
+                assert _gf(f * g) == gf_mul(_gf(f), _gf(g), p, ZZ)
+                q, r = f.divrem(g)
+                assert (_gf(q), _gf(r)) == gf_div(_gf(f), _gf(g), p, ZZ)
+
+    def test_product_of_largest_digits(self):
+        # Every coefficient of the product over Z reaches min(len)*(p-1)^2,
+        # the most a packed slot has to hold.
+        for p in self.PRIMES:
+            F = get_field(p)
+            for la, lb in ((1, 1), (1, 64), (64, 64), (200, 3)):
+                f, g = F.poly([p - 1] * la), F.poly([p - 1] * lb)
+                assert _gf(f * g) == gf_mul(_gf(f), _gf(g), p, ZZ)
+
+    def test_pow_mod_against_sympy(self, rng):
+        for p in self.PRIMES:
+            F = get_field(p)
+            for _ in range(6):
+                mod = self._poly(F, rng, rng.randint(1, 50), top=rng.randrange(1, p))
+                f = self._poly(F, rng, rng.randint(0, 80))
+                d = rng.randint(1, 6)
+                for e in (0, 1, 2, p, (p**d - 1) // 2, rng.getrandbits(32)):
+                    expected = gf_pow_mod(_gf(f), e, _gf(mod), p, ZZ)
+                    if e == 0:
+                        expected = [1]  # pow_mod(0, mod) is 1, unreduced
+                    assert _gf(f.pow_mod(e, mod)) == expected
+
+    def test_zero_operands(self):
+        F = get_field(5)
+        zero, f = F.poly([]), F.poly([1, 2, 3])
+        assert (zero * f).is_zero() and (f * zero).is_zero()
+        assert f.divrem(f) == (F.poly([1]), zero)
+        assert zero.pow_mod(3, f).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            f.divrem(zero)
+        with pytest.raises(ZeroDivisionError):
+            f.pow_mod(2, zero)
