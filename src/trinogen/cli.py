@@ -20,14 +20,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 from . import __version__, exactnum, monogenity, newton, ore
 from .exactnum import factored, is_probable_prime, strip_factored, strip_p
 from .exactnum import trial_factor  # noqa: F401 - bench/test_bench.py reaches it here
 from .monogenity import (
-    SquarefreeStatus,
     Trinomial,
-    VerdictKind,
     check_pure_field_obstruction,
     disc_trinomial,
     squarefree_status,
@@ -486,20 +485,18 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if min(r_range) < 1:
+    r0 = r_range.start
+    if r0 < 1:
         print("error: --r-range must start at 1 or above", file=sys.stderr)
         return EXIT_USAGE
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    items = [
-        (r, args.m, a, b) for r in r_range for a in a_range for b in b_range
-    ]
-    invalid_m = [it for it in items if not 1 <= it[1] < 2 ** it[0]]
-    if invalid_m:
-        r, m = invalid_m[0][0], invalid_m[0][1]
-        print(f"error: m={m} is out of range for r={r}", file=sys.stderr)
+    # 1 <= m < 2^r holds for every r in the range once it holds for the least.
+    if not 1 <= args.m < 2**r0:
+        print(f"error: m={args.m} is out of range for r={r0}", file=sys.stderr)
         return EXIT_USAGE
+    items = ((r, args.m, a, b) for r in r_range for a in a_range for b in b_range)
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
@@ -537,152 +534,120 @@ def cmd_scan(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-class _Table:
-    def __init__(self):
-        self.rows: list[tuple[bool, str, str, str, str]] = []
+# The paper's worked examples and two engine-level fixtures, one row per check:
+# (fixture, check, expected, how to compute it).  `verify` prints the rows in
+# this order and tests/test_acceptance.py runs the same rows.
 
-    def check(self, fixture: str, name: str, expected, computed) -> None:
-        ok = expected == computed
-        self.rows.append((ok, fixture, name, repr(expected), repr(computed)))
+_ALPHA8 = Trinomial(8, 1, 8, 8)  # non-monogenic polynomial in a monogenic field
+_CID8 = Trinomial(8, 1, 12, 3)  # no generator at all: 2 is a common index divisor
+_ALPHA16 = Trinomial(16, 15, 24, 8)  # alpha = theta^11 / 4
+_PURE64 = Trinomial(64, 1, 0, -65)  # pure field, not monogenic
+_FOUR_SIDES = PolyZ([7, 8] + [0] * 14 + [1])  # reducible over Q: shape data only
+_DEDEKIND = PolyZ([8, -2, 1, 1])  # Dedekind's cubic: 2 splits completely
 
-    def render(self) -> tuple[str, bool]:
-        lines = []
-        passed = 0
-        for ok, fixture, name, exp, got in self.rows:
-            mark = "PASS" if ok else "FAIL"
-            line = f"[{mark}] {fixture} | {name} | expected {exp}"
-            if not ok:
-                line += f" | got {got}"
-            lines.append(line)
-            passed += ok
-        all_ok = passed == len(self.rows)
-        lines.append(f"summary: {passed}/{len(self.rows)} checks passed")
-        return "\n".join(lines) + "\n", all_ok
+
+def _pow2_16():
+    return monogenity.check_alpha_generator_pow2(4, 15, 24, 8)
+
+
+def _at_2(F: PolyZ) -> ore.OreFactorization:
+    return ore.shared_factor_p(F, 2)
+
+
+def _shapes(fact: ore.OreFactorization) -> list[tuple[int, int]]:
+    return sorted((f.e, f.f) for f in fact.factors)
+
+
+def _sum_ef(fact: ore.OreFactorization) -> int:
+    return sum(f.e * f.f for f in fact.factors)
+
+
+def _degree_one(fact: ore.OreFactorization) -> int:
+    return sum(1 for f in fact.factors if f.f == 1)
+
+
+# fmt: off
+KNOWN_ANSWERS = (
+    ("x^8+8x+8", "discriminant", 2**24 * 1273609,
+     lambda: disc_trinomial(_ALPHA8)),
+    ("x^8+8x+8", "disc digest", "2^24 * 1273609",
+     lambda: _digest(disc_trinomial(_ALPHA8))),
+    ("x^8+8x+8", "verdict", "PolyNotMonogenicFieldMonogenic",
+     lambda: verdict(_ALPHA8).kind.value),
+    ("x^8+8x+8", "alpha (p, x, y)", (2, 3, 1),
+     lambda: attrgetter("p", "x", "y")(verdict(_ALPHA8).alpha)),
+    ("x^8+8x+8", "alpha min poly 2-Eisenstein", True,
+     lambda: verdict(_ALPHA8).alpha.eisenstein_ok),
+    ("x^8+8x+8", "min poly of theta^3/2", (2, 4, 0, -6, 0, 0, 0, 0, 1),
+     lambda: verdict(_ALPHA8).alpha.H.coeffs),
+    ("x^8+8x+8", "index bound at 2", (7, True),
+     lambda: ore.index_bound(_ALPHA8.poly(), 2)),
+    ("x^8+12x+3", "irreducibility", ("eisenstein", 3),
+     lambda: attrgetter("route", "p")(verdict(_CID8).irreducibility)),
+    ("x^8+12x+3", "congruence case", "mod8",
+     lambda: verdict(_CID8).congruence.case.value),
+    ("x^8+12x+3", "regular at 2", True,
+     lambda: verdict(_CID8).splitting.regular),
+    ("x^8+12x+3", "shapes", [(1, 1), (3, 1), (4, 1)],
+     lambda: _shapes(verdict(_CID8).splitting)),
+    ("x^8+12x+3", "sum e*f", 8,
+     lambda: _sum_ef(verdict(_CID8).splitting)),
+    ("x^8+12x+3", "degree-1 primes vs available", (3, 2),
+     lambda: attrgetter("cid_count", "cid_available")(verdict(_CID8))),
+    ("x^8+12x+3", "verdict", ("FieldNotMonogenic", 2),
+     lambda: attrgetter("kind.value", "p")(verdict(_CID8))),
+    ("x^16+24x^15+8", "nu_2(disc)", 90,
+     lambda: strip_p(2, disc_trinomial(_ALPHA16)).nu),
+    ("x^16+24x^15+8", "odd part of disc", 2**19 - 3**31 * 5**15,
+     lambda: strip_p(2, disc_trinomial(_ALPHA16)).unit_part),
+    ("x^16+24x^15+8", "power-of-two criterion applies", True,
+     lambda: _pow2_16()[0]),
+    ("x^16+24x^15+8", "alpha (p, x, y)", (2, 11, 2),
+     lambda: attrgetter("p", "x", "y")(_pow2_16()[1])),
+    ("x^16+24x^15+8", "alpha min poly 2-Eisenstein", True,
+     lambda: _pow2_16()[1].eisenstein_ok),
+    ("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic",
+     lambda: verdict(_ALPHA16).kind.value),
+    ("x^64-65", "pure-field screen", True,
+     lambda: check_pure_field_obstruction(6, -65)),
+    ("x^64-65", "regular at 2", True,
+     lambda: verdict(_PURE64).splitting.regular),
+    ("x^64-65", "at least 3 degree-1 primes", True,
+     lambda: _degree_one(verdict(_PURE64).splitting) >= 3),
+    ("x^64-65", "exponents include 8, 16, 32", True,
+     lambda: {8, 16, 32} <= {f.e for f in verdict(_PURE64).splitting.factors}),
+    ("x^64-65", "verdict", ("FieldNotMonogenic", 2),
+     lambda: attrgetter("kind.value", "p")(verdict(_PURE64))),
+    ("x^16+8x+7", "polygon vertices", ((0, 4), (1, 3), (4, 2), (8, 1), (16, 0)),
+     lambda: _at_2(_FOUR_SIDES).evidence[0].polygon.vertices),
+    ("x^16+8x+7", "four degree-1 sides", [1, 1, 1, 1],
+     lambda: [s.d for s in _at_2(_FOUR_SIDES).evidence[0].polygon.sides]),
+    ("x^16+8x+7", "sum e*f", 16,
+     lambda: _sum_ef(_at_2(_FOUR_SIDES))),
+    ("x^16+8x+7", "four degree-1 primes", 4,
+     lambda: _degree_one(_at_2(_FOUR_SIDES))),
+    ("x^16+8x+7", "common index divisor witness", (True, 1),
+     lambda: monogenity.common_index_divisor(_at_2(_FOUR_SIDES), 16)),
+    ("x^3+x^2-2x+8", "2 splits completely", [(1, 1), (1, 1), (1, 1)],
+     lambda: _shapes(_at_2(_DEDEKIND))),
+    ("x^3+x^2-2x+8", "common index divisor witness", (True, 1),
+     lambda: monogenity.common_index_divisor(_at_2(_DEDEKIND), 3)),
+)
+# fmt: on
 
 
 def cmd_verify(_args) -> int:
-    t = _Table()
-
-    # x^8 + 8x + 8: non-monogenic polynomial in a monogenic field
-    T = Trinomial(8, 1, 8, 8)
-    t.check("x^8+8x+8", "discriminant", 2**24 * 1273609, disc_trinomial(T))
-    t.check("x^8+8x+8", "disc digest", "2^24 * 1273609", _digest(disc_trinomial(T)))
-    v = verdict(T)
-    t.check("x^8+8x+8", "verdict", "PolyNotMonogenicFieldMonogenic", v.kind.value)
-    a = v.alpha
-    t.check("x^8+8x+8", "alpha (p, x, y)", (2, 3, 1), (a.p, a.x, a.y))
-    t.check("x^8+8x+8", "alpha min poly 2-Eisenstein", True, a.eisenstein_ok)
-    t.check(
-        "x^8+8x+8",
-        "min poly of theta^3/2",
-        (2, 4, 0, -6, 0, 0, 0, 0, 1),
-        a.H.coeffs,
-    )
-    t.check("x^8+8x+8", "index bound at 2", (7, True), ore.index_bound(T.poly(), 2))
-
-    # x^8 + 12x + 3: field with no generator at all (2 is a common divisor)
-    T = Trinomial(8, 1, 12, 3)
-    v = verdict(T)
-    t.check(
-        "x^8+12x+3",
-        "irreducibility",
-        ("eisenstein", 3),
-        (v.irreducibility.route, v.irreducibility.p),
-    )
-    t.check("x^8+12x+3", "congruence case", "mod8", v.congruence.case.value)
-    fact = v.splitting
-    t.check("x^8+12x+3", "regular at 2", True, fact.regular)
-    shapes = sorted((f.e, f.f) for f in fact.factors)
-    t.check("x^8+12x+3", "shapes", [(1, 1), (3, 1), (4, 1)], shapes)
-    t.check("x^8+12x+3", "sum e*f", 8, sum(e * f for e, f in shapes))
-    t.check(
-        "x^8+12x+3",
-        "degree-1 primes vs available",
-        (3, 2),
-        (v.cid_count, v.cid_available),
-    )
-    t.check("x^8+12x+3", "verdict", ("FieldNotMonogenic", 2), (v.kind.value, v.p))
-
-    # x^16 + 24x^15 + 8: alpha = theta^11 / 4
-    T = Trinomial(16, 15, 24, 8)
-    stripped = strip_p(2, disc_trinomial(T))
-    t.check("x^16+24x^15+8", "nu_2(disc)", 90, stripped.nu)
-    t.check(
-        "x^16+24x^15+8",
-        "odd part of disc",
-        2**19 - 3**31 * 5**15,
-        stripped.unit_part,
-    )
-    ok, cert = monogenity.check_alpha_generator_pow2(4, 15, 24, 8)
-    t.check("x^16+24x^15+8", "power-of-two criterion applies", True, ok)
-    t.check("x^16+24x^15+8", "alpha (p, x, y)", (2, 11, 2), (cert.p, cert.x, cert.y))
-    t.check("x^16+24x^15+8", "alpha min poly 2-Eisenstein", True, cert.eisenstein_ok)
-    v = verdict(T)
-    t.check("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic", v.kind.value)
-
-    # x^64 - 65: pure field, not monogenic
-    T = Trinomial(64, 1, 0, -65)
-    t.check("x^64-65", "pure-field screen", True, check_pure_field_obstruction(6, -65))
-    v = verdict(T)
-    fact = v.splitting
-    t.check("x^64-65", "regular at 2", True, fact.regular)
-    f1 = sum(1 for f in fact.factors if f.f == 1)
-    t.check("x^64-65", "at least 3 degree-1 primes", True, f1 >= 3)
-    exps = {f.e for f in fact.factors}
-    t.check("x^64-65", "exponents include 8, 16, 32", True, {8, 16, 32} <= exps)
-    t.check("x^64-65", "verdict", ("FieldNotMonogenic", 2), (v.kind.value, v.p))
-
-    # x^16 + 8x + 7: engine-level shape data (reducible over Q, so no field claim)
-    F = PolyZ([7, 8] + [0] * 14 + [1])
-    fact = ore.factor_p(F, 2)
-    pd = fact.evidence[0]
-    t.check(
-        "x^16+8x+7",
-        "polygon vertices",
-        ((0, 4), (1, 3), (4, 2), (8, 1), (16, 0)),
-        pd.polygon.vertices,
-    )
-    t.check(
-        "x^16+8x+7",
-        "four degree-1 sides",
-        [1, 1, 1, 1],
-        [s.d for s in pd.polygon.sides],
-    )
-    t.check(
-        "x^16+8x+7", "sum e*f", 16, sum(f.e * f.f for f in fact.factors)
-    )
-    t.check(
-        "x^16+8x+7",
-        "four degree-1 primes",
-        4,
-        sum(1 for f in fact.factors if f.f == 1),
-    )
-    t.check(
-        "x^16+8x+7",
-        "common index divisor witness",
-        (True, 1),
-        monogenity.common_index_divisor(fact, 16),
-    )
-
-    # Dedekind's cubic x^3 + x^2 - 2x + 8: 2 splits completely
-    F = PolyZ([8, -2, 1, 1])
-    fact = ore.factor_p(F, 2)
-    t.check(
-        "x^3+x^2-2x+8",
-        "2 splits completely",
-        [(1, 1), (1, 1), (1, 1)],
-        sorted((f.e, f.f) for f in fact.factors),
-    )
-    t.check(
-        "x^3+x^2-2x+8",
-        "common index divisor witness",
-        (True, 1),
-        monogenity.common_index_divisor(fact, 3),
-    )
-
-    text, all_ok = t.render()
-    print(text, end="")
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    passed = 0
+    for fixture, check, expected, compute in KNOWN_ANSWERS:
+        got = compute()
+        line = f"{fixture} | {check} | expected {expected!r}"
+        if got == expected:
+            passed += 1
+            print(f"[PASS] {line}")
+        else:
+            print(f"[FAIL] {line} | got {got!r}")
+    print(f"summary: {passed}/{len(KNOWN_ANSWERS)} checks passed")
+    return EXIT_OK if passed == len(KNOWN_ANSWERS) else EXIT_VERIFY_FAILED
 
 
 # -- entry ---------------------------------------------------------------------

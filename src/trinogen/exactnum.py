@@ -64,14 +64,6 @@ class Infinity:
 
 INFINITY = Infinity()
 
-# A valuation is either a non-negative int or INFINITY (only for input 0).
-Valuation = "int | Infinity"
-
-
-def is_finite(v) -> bool:
-    """True iff the valuation ``v`` is an actual integer."""
-    return not isinstance(v, Infinity)
-
 
 def valp(p: int, t: int):
     """p-adic valuation of ``t``; INFINITY iff t == 0.
@@ -107,18 +99,6 @@ def strip_p(p: int, t: int) -> StrippedInt:
         t //= p
         nu += 1
     return StrippedInt(nu, t)
-
-
-def binom_val2(r: int, j: int) -> int:
-    """2-adic valuation of binomial(2**r, j) for 1 <= j <= 2**r - 1.
-
-    Equals r - valp(2, j): of the factors in C(2^r, j) = (2^r / j) * C(2^r - 1, j - 1),
-    the second is odd because every base-2 digit of j - 1 is dominated by
-    2^r - 1 (Kummer: no carries).
-    """
-    if not 1 <= j <= (1 << r) - 1:
-        raise ValueError(f"j={j} out of range for r={r}")
-    return r - valp(2, j)
 
 
 def _divisors(d: int) -> list[int]:

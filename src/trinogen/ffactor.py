@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .exactnum import trial_factor
 from .polyring import FqField, FqPoly
 
 
@@ -25,20 +26,6 @@ def is_separable(f: FqPoly) -> bool:
     if f.degree == 0:
         return True
     return f.gcd(f.derivative()).degree == 0
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_irreducible(f: FqPoly) -> bool:
@@ -54,7 +41,7 @@ def is_irreducible(f: FqPoly) -> bool:
     field = f.field
     q = field.order
     x = field.poly([0, 1])
-    for t in _prime_divisors(n):
+    for t, _ in trial_factor(n, n + 1)[0]:
         h = x.pow_mod(q ** (n // t), f) - x
         if h.is_zero() or f.gcd(h).degree != 0:
             return False

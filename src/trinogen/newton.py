@@ -18,16 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import INFINITY, valp
-from .polyring import (
-    FqField,
-    FqPoly,
-    PhiDevelopment,
-    PolyZ,
-    get_field,
-    phi_expand,
-    reduce_mod,
-)
+from .exactnum import INFINITY
+from .polyring import FqField, FqPoly, PhiDevelopment, PolyZ, get_field
 
 
 class MalformedInput(ValueError):
@@ -262,17 +254,6 @@ def phi_index(polygon: PrincipalPolygon, deg_phi: int) -> int:
     return count * deg_phi
 
 
-@dataclass(frozen=True)
-class SideRegularity:
-    """One row of the p-regularity evidence table."""
-
-    phi: PolyZ
-    side_index: int
-    side: Side
-    residual: ResidualPolynomial
-    separable: bool
-
-
 def lift_balanced(fbar: FqPoly) -> PolyZ:
     """Monic integer lift with lower coefficients in [-p/2, p/2).
 
@@ -287,65 +268,3 @@ def lift_balanced(fbar: FqPoly) -> PolyZ:
     out = [c - p if 2 * c >= p else c for (c,) in fbar.coeffs[:-1]]
     out.append(1)
     return PolyZ(out)
-
-
-def is_p_regular(F: PolyZ, p: int) -> tuple[bool, tuple[SideRegularity, ...]]:
-    """Whether every residual polynomial of every mod-p factor is separable.
-
-    Returns the verdict together with the full per-phi per-side evidence
-    table; multiplicity-one factors contribute a single trivially separable
-    degree-one row via their one-side polygon.
-    """
-    from . import ffactor
-
-    if not F.is_monic():
-        raise MalformedInput("regularity is defined for monic polynomials")
-    fbar = reduce_mod(F, p)
-    rows: list[SideRegularity] = []
-    regular = True
-    for phibar, _mult in ffactor.factor(fbar).factors:
-        phi = lift_balanced(phibar)
-        dev = phi_expand(F, phi, p)
-        polygon = principal_polygon(point_cloud(dev), phi=phi, p=p)
-        for j in range(len(polygon.sides)):
-            res = residual_poly(dev, polygon, j)
-            sep = ffactor.is_separable(res.poly)
-            rows.append(
-                SideRegularity(
-                    phi=phi, side_index=j, side=polygon.sides[j], residual=res, separable=sep
-                )
-            )
-            regular = regular and sep
-    return regular, tuple(rows)
-
-
-@dataclass(frozen=True)
-class ShiftedDev:
-    """Closed-form development of x**(2**r) + a*x + b around phi = x - 1.
-
-    mu = nu_2(2**r + a) and nu = nu_2(1 + a + b) are the valuations of the
-    two low-order terms (INFINITY when the term vanishes).
-    """
-
-    dev: PhiDevelopment
-    mu: object
-    nu: object
-
-
-def shifted_dev_2r(r: int, a: int, b: int) -> ShiftedDev:
-    """Development of x**(2**r) + a*x + b in powers of (x - 1) at p = 2.
-
-    Term j >= 2 is the binomial coefficient C(2**r, j); term 1 is 2**r + a;
-    term 0 is 1 + a + b.  Identical to phi_expand on the same input, but
-    costs only the binomial row.
-    """
-    from math import comb
-
-    if r < 1:
-        raise MalformedInput("r must be >= 1")
-    n = 2**r
-    consts = [1 + a + b, n + a] + [comb(n, j) for j in range(2, n + 1)]
-    terms = tuple(PolyZ((c,)) for c in consts)
-    vals = tuple(INFINITY if c == 0 else valp(2, c) for c in consts)
-    dev = PhiDevelopment(phi=PolyZ((-1, 1)), p=2, terms=terms, vals=vals)
-    return ShiftedDev(dev=dev, mu=vals[1], nu=vals[0])

@@ -158,17 +158,26 @@ def factor_p(F: PolyZ, p: int) -> OreFactorization:
     )
 
 
-# factor_p results keyed by (F, p).  The verdict, the report's evidence and a
-# scan row's index column all ask for the same analysis.
+# factor_p results keyed by (F, p), or the message of the MalformedInput it
+# raised.  The verdict, the report's evidence and a scan row's index column
+# all ask for the same analysis.
 SPLITTINGS = Memo(16)
 
 
 def shared_factor_p(F: PolyZ, p: int) -> OreFactorization:
-    """``factor_p(F, p)``, shared through SPLITTINGS; the result is frozen."""
+    """``factor_p(F, p)``, shared through SPLITTINGS; the result is frozen.
+
+    A ``MalformedInput`` is shared as its message and raised again from it.
+    """
     key = (F, p)
     hit = SPLITTINGS.get(key)
     if hit is None:
-        hit = SPLITTINGS.put(key, factor_p(F, p))
+        try:
+            hit = SPLITTINGS.put(key, factor_p(F, p))
+        except MalformedInput as exc:
+            hit = SPLITTINGS.put(key, str(exc))
+    if isinstance(hit, str):
+        raise MalformedInput(hit)
     return hit
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import exactnum
 from .exactnum import INFINITY, is_probable_prime, valp
 
 
@@ -87,16 +86,6 @@ class PolyZ:
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def const(c: int) -> "PolyZ":
-        return PolyZ((c,))
-
-    @staticmethod
-    def x_power(k: int, c: int = 1) -> "PolyZ":
-        return PolyZ((0,) * k + (c,))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -188,11 +177,6 @@ class PolyZ:
         if g == 0:
             raise ValueError("zero polynomial has no primitive part")
         return g, PolyZ(c // g for c in self.coeffs)
-
-
-def poly_divrem(num: PolyZ, den: PolyZ) -> tuple[PolyZ, PolyZ]:
-    """Module-level alias for :meth:`PolyZ.divrem` (monic denominator)."""
-    return num.divrem(den)
 
 
 # -- resultants ---------------------------------------------------------------
@@ -500,11 +484,6 @@ class FqField:
             out = out * self.p + d
         return out
 
-    def elements(self):
-        """All field elements, in packed-integer order."""
-        for k in range(self.order):
-            yield self.from_int(k)
-
     def elem_str(self, e: Sequence[int]) -> str:
         """Human form: a digit for the prime field, a t-polynomial otherwise."""
         if self.deg == 1:
@@ -604,10 +583,6 @@ class FqField:
             else:
                 out.append(self.elem(c))
         return FqPoly(self, out)
-
-    def poly_from_ints(self, packed: Sequence[int]) -> "FqPoly":
-        """FqPoly whose coefficients are given in base-p packed integer form."""
-        return FqPoly(self, [self.from_int(k) for k in packed])
 
 
 _FIELD_CACHE: dict[tuple[int, tuple[int, ...] | None], FqField] = {}

@@ -378,6 +378,16 @@ class TestScan:
             assert code == EXIT_USAGE, argv
             assert "error:" in err
 
+    def test_middle_exponent_checked_against_least_r(self, capsys, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        argv = ["scan", "--r-range", "2:4", "--a-range", "1:2", "--b-range", "1:2",
+                "--m", "4", "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: m=4 is out of range for r=2\n"
+        assert not out.exists()
+
     def test_unwritable_output_path(self, capsys, tmp_path):
         code = main(
             [
@@ -432,6 +442,7 @@ class TestScan:
         ("--n", "8", "--a", "8", "--b", "8"),  # alpha generator
         ("--n", "8", "--a", "12", "--b", "3"),  # common index divisor at 2
         ("--n", "4", "--a", "4", "--b", "4", "--assume-irreducible"),  # index bounds
+        ("--n", "8", "--a", "4", "--b", "-5", "--assume-irreducible"),  # x - 1 divides
     ],
 )
 def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
@@ -504,12 +515,8 @@ class TestConsoleScript:
         assert report["verdict"]["kind"] == "PolyNotMonogenicFieldMonogenic"
 
     def test_version(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from trinogen.cli import main; main(['--version'])"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        cmd, env = module_command("--version")
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
         # argparse --version exits 0 after printing
         assert "trinogen 0.1.0" in proc.stdout
 

@@ -1,7 +1,6 @@
 """Integer-arithmetic bedrock: valuations, primality, counting, Diophantine."""
 
 import math
-import random
 
 import pytest
 
@@ -12,13 +11,11 @@ from trinogen.exactnum import (
     Memo,
     NotCoprime,
     StrippedInt,
-    binom_val2,
     count_monic_irreducibles,
     dioph_solve,
     factored,
     iroot,
     is_certified_prime,
-    is_finite,
     is_probable_prime,
     perfect_power,
     primes_below,
@@ -50,11 +47,6 @@ class TestInfinity:
     def test_absorbs_addition(self):
         assert INFINITY + 5 is INFINITY
         assert 5 + INFINITY is INFINITY
-
-    def test_is_finite(self):
-        assert is_finite(0)
-        assert is_finite(-3)
-        assert not is_finite(INFINITY)
 
 
 class TestValp:
@@ -98,24 +90,6 @@ class TestStripP:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             strip_p(2, 0)
-
-
-class TestBinomVal2:
-    def test_known_values(self):
-        assert binom_val2(3, 4) == 1
-        assert binom_val2(3, 1) == 3
-        assert binom_val2(5, 2) == 4
-
-    def test_matches_direct_valuation_small(self):
-        for r in range(1, 7):
-            for j in range(1, 2**r):
-                assert binom_val2(r, j) == valp(2, math.comb(2**r, j))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binom_val2(3, 0)
-        with pytest.raises(ValueError):
-            binom_val2(3, 8)
 
 
 class TestCountMonicIrreducibles:

@@ -29,8 +29,8 @@ def brute_force_irreducible(field, f) -> bool:
 def random_fq_poly(field, rng, max_deg=8):
     while True:
         deg = rng.randint(0, max_deg)
-        f = field.poly_from_ints(
-            [rng.randrange(field.order) for _ in range(deg + 1)]
+        f = field.poly(
+            [field.from_int(rng.randrange(field.order)) for _ in range(deg + 1)]
         )
         if not f.is_zero():
             return f
@@ -80,6 +80,18 @@ class TestIsIrreducible:
         t = F4.elem([0, 1])
         f = F4.poly([t, F4.one, F4.one])
         assert is_irreducible(f) == brute_force_irreducible(F4, f)
+
+    def test_uses_every_prime_divisor_of_the_degree(self):
+        # Degree 6 = 2 * 3 over F_3.  Only the gcd at q^(6/3) sees three
+        # distinct quadratics, and only the gcd at q^(6/2) sees two cubics;
+        # x^(q^6) = x mod f holds for both products.
+        F3 = get_field(3)
+        quadratics = F3.poly([1, 0, 1]) * F3.poly([2, 1, 1]) * F3.poly([2, 2, 1])
+        cubics = F3.poly([1, 2, 0, 1]) * F3.poly([2, 2, 0, 1])
+        for f in (quadratics, cubics):
+            assert f.degree == 6
+            assert not is_irreducible(f)
+            assert not brute_force_irreducible(F3, f)
 
     def test_constants_are_not_irreducible(self):
         F = get_field(5)

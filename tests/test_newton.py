@@ -1,4 +1,4 @@
-"""Polygon geometry, residue data, and regularity checks.
+"""Polygon geometry, residue data and lifts.
 
 The hull oracle here is completely independent of the implementation: the
 lower envelope value at each abscissa is the minimum over all chords between
@@ -10,13 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from trinogen.exactnum import INFINITY, valp
+from trinogen.exactnum import INFINITY
 from trinogen.ffactor import factor
 from trinogen.newton import (
     MalformedInput,
     PrincipalPolygon,
-    Side,
-    is_p_regular,
     lift_balanced,
     phi_index,
     point_cloud,
@@ -24,7 +22,6 @@ from trinogen.newton import (
     residual_poly,
     residue_coefficient,
     residue_field,
-    shifted_dev_2r,
 )
 from trinogen.polyring import PolyZ, get_field, phi_expand, reduce_mod
 
@@ -328,56 +325,3 @@ class TestLiftBalanced:
         F3 = get_field(3)
         with pytest.raises(ValueError):
             lift_balanced(F3.poly([1, 2]))
-
-
-class TestRegularity:
-    def test_regular_case(self):
-        ok, rows = is_p_regular(trinomial_polyz(8, 1, 12, 3), 2)
-        assert ok
-        assert all(row.separable for row in rows)
-        assert len(rows) == 3  # three sides of the single repeated factor
-
-    def test_non_regular_case(self):
-        # x^2 + 4x + 4 = (x + 2)^2: residual (y + 1)^2 over F_2
-        ok, rows = is_p_regular(PolyZ([4, 4, 1]), 2)
-        assert not ok
-        assert any(not row.separable for row in rows)
-
-    def test_multiplicity_one_factors_are_trivially_regular(self):
-        # squarefree mod p: every factor still gets a row, with a single
-        # degree-1 (hence separable) residual
-        ok, rows = is_p_regular(PolyZ([1, 1, 0, 1]), 2)
-        assert ok
-        assert all(row.separable for row in rows)
-        assert all(row.side.d == 1 for row in rows)
-
-
-class TestShiftedDev:
-    def test_matches_generic_development(self):
-        rng = random.Random(808)
-        for r in range(1, 5):
-            for _ in range(40):
-                a = rng.randint(-60, 60)
-                b = rng.randint(-60, 60)
-                if b == 0:
-                    continue
-                got = shifted_dev_2r(r, a, b)
-                n = 2**r
-                F = trinomial_polyz(n, 1, a, b)
-                dev = phi_expand(F, PolyZ([-1, 1]), 2)
-                assert got.dev.terms == dev.terms
-                assert got.dev.vals == dev.vals
-                assert got.dev.phi == PolyZ([-1, 1])
-
-    def test_mu_nu_values(self):
-        got = shifted_dev_2r(3, 8, 8)
-        assert got.mu == valp(2, 2**3 + 8)  # = 4
-        assert got.nu == valp(2, 1 + 8 + 8)
-        zero = shifted_dev_2r(2, 2, -3)  # 1 + a + b == 0
-        assert zero.nu is INFINITY
-
-    def test_closed_form_terms(self):
-        # development of x^4 + ax + b around x - 1:
-        # [1+a+b, 4+a, 6, 4, 1]
-        got = shifted_dev_2r(2, 5, 7)
-        assert [t[0] if t.coeffs else 0 for t in got.dev.terms] == [13, 9, 6, 4, 1]
