@@ -7,9 +7,15 @@ the text renderer is a pure projection of the same dict.  Scan output is
 deterministic row content in lexicographic (r, a, b) order regardless of
 worker count; only the runtime_micros measurement varies between runs.
 
+Degrees above MAX_DEGREE are refused as usage errors before any arithmetic.
+A scan on a worker pool keeps only a few chunks of rows in flight, so its
+memory stays bounded on a box of any size.
+
 Exit codes: 0 success, 1 verification mismatch (or stdout closed early),
 2 usage or input error, 3 irreducibility not certified (and
---assume-irreducible absent).
+--assume-irreducible absent), 130 interrupted by Ctrl-C (SIGINT), 143
+stopped by SIGTERM.  An interrupted or stopped scan cancels its pending
+rows and waits for its workers before it exits.
 """
 
 from __future__ import annotations
@@ -17,12 +23,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from operator import attrgetter
 
-from . import __version__, exactnum, monogenity, newton, ore
+from . import __version__, exactnum, ffactor, monogenity, newton, ore
 from .exactnum import factored, is_probable_prime, strip_factored, strip_p
 from .exactnum import trial_factor  # noqa: F401 - bench/test_bench.py reaches it here
 from .monogenity import (
@@ -41,6 +50,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNCERTIFIED = 3
+
+# The largest degree n accepted.  Past it, power_charpoly and the F_p
+# factoring grow slow (n = 65536 runs for over a minute), and from n = 2048
+# the discriminant has more digits than Python converts to a string.  At the
+# cap, x^1024 + 2x + 2 takes about 2 s.
+MAX_DEGREE = 1024
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -375,14 +390,26 @@ def _add_analyze_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _pow2_over_cap(r: int) -> bool:
+    """Whether 2**r exceeds MAX_DEGREE, decided without computing 2**r."""
+    return r >= MAX_DEGREE.bit_length()
+
+
 def cmd_analyze(args) -> int:
     if args.r is not None:
         if args.r < 1:
             print("error: --r must be >= 1", file=sys.stderr)
             return EXIT_USAGE
+        if _pow2_over_cap(args.r):
+            print(f"error: --r {args.r} gives a degree above the cap {MAX_DEGREE}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         n = 2**args.r
     else:
         n = args.n
+        if n > MAX_DEGREE:
+            print(f"error: --n {n} is above the degree cap {MAX_DEGREE}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         T = Trinomial(n=n, m=args.m, a=args.a, b=args.b)
     except ValueError as exc:
@@ -461,6 +488,37 @@ def _scan_row(item: tuple[int, int, int, int]) -> dict:
     return row
 
 
+# A pool worker computes rows in chunks of SCAN_CHUNK, and at most
+# POOL_WINDOW chunks per worker are submitted and not yet written.
+SCAN_CHUNK = 8
+POOL_WINDOW = 4
+
+
+def _scan_chunk(items: list[tuple[int, int, int, int]]) -> list[dict]:
+    return [_scan_row(item) for item in items]
+
+
+def _start_worker() -> None:
+    # Ctrl-C reaches the whole process group; the parent alone answers it by
+    # cancelling the pending chunks, so a worker neither stops nor prints.
+    # A forked worker would inherit entry's SIGTERM handler; a SIGTERM sent
+    # to a worker ends it instead.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _pool_rows(pool: ProcessPoolExecutor, items, jobs: int):
+    """The rows of ``items`` in order, computed on ``pool`` through a window
+    of POOL_WINDOW chunks per worker, refilled as each chunk is taken."""
+    chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
+    window = deque(pool.submit(_scan_chunk, c) for c in islice(chunks, POOL_WINDOW * jobs))
+    while window:
+        rows = window.popleft().result()
+        for chunk in islice(chunks, 1):
+            window.append(pool.submit(_scan_chunk, chunk))
+        yield from rows
+
+
 def _add_scan_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r-range", required=True, help="LO:HI inclusive range for r")
     sp.add_argument("--a-range", required=True, help="LO:HI inclusive range for a")
@@ -489,6 +547,11 @@ def cmd_scan(args) -> int:
     if r0 < 1:
         print("error: --r-range must start at 1 or above", file=sys.stderr)
         return EXIT_USAGE
+    # Checked here, because a row refuses a degree past the cap as "skipped".
+    if _pow2_over_cap(r_range[-1]):
+        print(f"error: --r-range reaches r={r_range[-1]}, a degree above the cap "
+              f"{MAX_DEGREE}", file=sys.stderr)
+        return EXIT_USAGE
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -508,8 +571,8 @@ def cmd_scan(args) -> int:
         if args.jobs == 1:
             rows = map(_scan_row, items)
         else:
-            pool = ProcessPoolExecutor(max_workers=args.jobs)
-            rows = pool.map(_scan_row, items, chunksize=8)
+            pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_start_worker)
+            rows = _pool_rows(pool, items, args.jobs)
         if args.format == "csv":
             out.write(",".join(SCAN_COLUMNS) + "\n")
             for row in rows:
@@ -526,7 +589,8 @@ def cmd_scan(args) -> int:
         if out is not sys.stdout:
             out.close()
         if pool is not None:
-            # Rows not yet computed are not needed once writing has failed.
+            # Rows not yet computed are not needed once writing has failed
+            # or the command was interrupted.
             pool.shutdown(cancel_futures=True)
     return EXIT_OK
 
@@ -707,7 +771,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_glue_range_values(list(argv)))
     # Facts are shared within one command, not across commands, so what a
     # command computes does not depend on what ran before it in this process.
+    # Pool workers start from these emptied memos and fill their own.
     exactnum.FACTORIZATIONS.clear()
+    ffactor.FACTORIZATIONS.clear()
     ore.SPLITTINGS.clear()
     try:
         return args.func(args)
@@ -718,15 +784,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def _interrupt(signum, frame):
+    # Unwinds like Ctrl-C, so a scan cancels its pending rows on the way out.
+    raise KeyboardInterrupt(signum)
+
+
 def entry() -> None:
     """Console entry point: ``main`` with its exit code.
 
     When the reader of stdout goes away (``trinogen analyze ... | head -1``),
-    exit quietly with status 1 instead of printing a traceback.
+    exit quietly with status 1 instead of printing a traceback.  Ctrl-C and
+    SIGTERM unwind the command and exit quietly with 128 plus the signal
+    number: 130 and 143.
     """
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         code = main()
         sys.stdout.flush()
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        sys.exit(128 + signum)
     except BrokenPipeError:
         # Python flushes stdout again at exit; point it at devnull so that
         # flush cannot fail a second time (the recipe in the signal docs).

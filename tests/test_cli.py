@@ -8,18 +8,23 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 ``trinogen`` console script.
 """
 
+import importlib
 import json
+import math
 import os
+import pkgutil
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import trinogen
-from trinogen import cli, exactnum, ore
+from trinogen import cli, exactnum, ffactor, ore
 from trinogen.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
@@ -249,6 +254,18 @@ class TestAnalyzeExitCodes:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("degree", [("--n", "1025"), ("--r", "11"), ("--r", str(10**9))])
+    def test_degree_above_cap(self, capsys, degree):
+        code, out, err = run_cli(capsys, "analyze", *degree, "--a", "3", "--b", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cli.MAX_DEGREE) in err
+
+    def test_cap_boundary(self):
+        assert cli.MAX_DEGREE == 1024
+        assert not cli._pow2_over_cap(10)
+        assert cli._pow2_over_cap(11)
+
     def test_invalid_squarefree_bound_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TRINOGEN_SF_BOUND", "abc")
         code, out, err = run_cli(capsys, "analyze", "--n", "8", "--a", "12", "--b", "3")
@@ -378,6 +395,16 @@ class TestScan:
             assert code == EXIT_USAGE, argv
             assert "error:" in err
 
+    def test_r_range_above_degree_cap(self, capsys, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        argv = ["scan", "--r-range", "3:11", "--a-range", "1:2", "--b-range", "1:2",
+                "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: --r-range reaches r=11, a degree above the cap 1024\n"
+        assert not out.exists()
+
     def test_middle_exponent_checked_against_least_r(self, capsys, tmp_path):
         out = tmp_path / "rows.jsonl"
         argv = ["scan", "--r-range", "2:4", "--a-range", "1:2", "--b-range", "1:2",
@@ -402,21 +429,7 @@ class TestScan:
         assert code == EXIT_USAGE
         assert "cannot open" in err
 
-    def test_unwritable_output_path_starts_no_pool(self, capsys, tmp_path, monkeypatch):
-        mapped = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def map(self, fn, items, chunksize=1):
-                mapped.append(len(items))
-                return map(fn, items)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_unwritable_output_path_starts_no_pool(self, capsys, tmp_path, recording_pools):
         code = main(
             [
                 "scan",
@@ -430,7 +443,55 @@ class TestScan:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "cannot open" in err
-        assert mapped == [], "rows were computed for an output that cannot be opened"
+        assert recording_pools == [], "a pool was started for an output that cannot be opened"
+
+    def test_pool_window_is_bounded(self, capsys, tmp_path, recording_pools):
+        box = ("--a-range", "7:18")  # 132 rows, 17 chunks
+        serial = mask_runtime(scan_rows(capsys, tmp_path, *box))
+        parallel = mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", "2"))
+        assert parallel == serial
+        (pool,) = recording_pools
+        assert pool.submitted == math.ceil(len(serial) / cli.SCAN_CHUNK)
+        assert pool.peak == cli.POOL_WINDOW * 2 < pool.submitted
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each task when it is submitted,
+    in this process, and records how many results are not yet taken."""
+
+    def __init__(self, max_workers, initializer=None):
+        self.submitted = self.in_flight = self.peak = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return _Done(self, fn(*args))
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _Done:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.value
+
+
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """Every RecordingPool that cli creates while the test runs."""
+    pools = []
+
+    def make(*args, **kwargs):
+        pools.append(RecordingPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", make)
+    return pools
 
 
 # -- each fact once ----------------------------------------------------------------
@@ -446,8 +507,8 @@ class TestScan:
     ],
 )
 def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
-    divided, analysed = Counter(), Counter()
-    trial_factor, factor_p = exactnum.trial_factor, ore.factor_p
+    divided, analysed, computed = Counter(), Counter(), Counter()
+    trial_factor, factor_p, fq_factor = exactnum.trial_factor, ore.factor_p, ffactor._factor
 
     def counting_trial_factor(t, bound):
         divided[abs(t), bound] += 1
@@ -457,6 +518,10 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         analysed[F, p] += 1
         return factor_p(F, p)
 
+    def counting_fq_factor(f, seed):
+        computed[f] += 1
+        return fq_factor(f, seed)
+
     # Replace each function under every name a trinogen module holds it by.
     for name, module in list(sys.modules.items()):
         if name.startswith("trinogen"):
@@ -465,12 +530,48 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
                     monkeypatch.setattr(module, attr, counting_trial_factor)
                 elif value is factor_p:
                     monkeypatch.setattr(module, attr, counting_factor_p)
+                elif value is fq_factor:
+                    monkeypatch.setattr(module, attr, counting_fq_factor)
     # A second run of the same command computes the same facts again, once.
     for run in (1, 2):
         code, _, _ = run_cli(capsys, "analyze", "--json", *argv)
         assert code == EXIT_OK
         assert divided and set(divided.values()) == {run}, divided
         assert analysed and set(analysed.values()) == {run}, analysed
+        assert computed and set(computed.values()) == {run}, computed
+
+
+def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
+    computed = Counter()
+    fq_factor = ffactor._factor
+
+    def counting_fq_factor(f, seed):
+        computed[f] += 1
+        return fq_factor(f, seed)
+
+    monkeypatch.setattr(ffactor, "_factor", counting_fq_factor)
+    rows = mask_runtime(scan_rows(capsys, tmp_path))
+    assert computed and set(computed.values()) == {1}
+    # A memo of size 0 forgets each result at once: every call computes.
+    monkeypatch.setattr(ffactor, "FACTORIZATIONS", exactnum.Memo(0))
+    computed.clear()
+    assert mask_runtime(scan_rows(capsys, tmp_path)) == rows
+    assert max(computed.values()) > 1
+
+
+def test_main_empties_every_memo(capsys):
+    memos = []
+    for info in pkgutil.iter_modules(trinogen.__path__):
+        module = importlib.import_module(f"trinogen.{info.name}")
+        memos += [(f"{info.name}.{attr}", value) for attr, value in vars(module).items()
+                  if isinstance(value, exactnum.Memo)]
+    assert len(memos) >= 3, memos
+    stale = object()
+    for _, memo in memos:
+        memo.put(stale, "stale")
+    code, _, _ = run_cli(capsys, "analyze", "--n", "3", "--a", "1", "--b", "0")  # b = 0
+    assert code == EXIT_USAGE
+    assert [name for name, memo in memos if memo.get(stale) is not None] == []
 
 
 # -- verify ----------------------------------------------------------------------
@@ -491,6 +592,30 @@ class TestVerify:
 # -- console script ----------------------------------------------------------------
 
 
+@pytest.fixture
+def sigterm_restored():
+    """Put back this process's SIGTERM handler, which ``entry`` replaces."""
+    handler = signal.getsignal(signal.SIGTERM)
+    yield
+    signal.signal(signal.SIGTERM, handler)
+
+
+@pytest.mark.parametrize(
+    "interrupt, code",
+    [(KeyboardInterrupt(), 130), (KeyboardInterrupt(signal.SIGTERM), 143)],
+)
+def test_entry_exit_code_when_interrupted(monkeypatch, capsys, sigterm_restored,
+                                          interrupt, code):
+    def interrupted():
+        raise interrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == ("", "")
+
+
 def module_command(*argv):
     """Return the argv and environment that run ``python -m trinogen`` on the
     ``trinogen`` package this process imported."""
@@ -498,6 +623,29 @@ def module_command(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return [sys.executable, "-m", "trinogen", *argv], env
+
+
+def child_pids(parent: int) -> list[int]:
+    """The pids whose parent is ``parent``, read from /proc."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == parent:
+            pids.append(int(entry))
+    return pids
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestConsoleScript:
@@ -548,6 +696,36 @@ class TestConsoleScript:
             os.close(write_end)
         assert proc.returncode != EXIT_OK
         assert proc.stderr == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists child processes by /proc")
+    def test_sigterm_stops_scan_workers(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        cmd, env = module_command("scan", "--r-range", "3:3", "--a-range", "-300:299",
+                                  "--b-range", "-300:299", "--jobs", "2", "--out", str(out))
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while not (out.exists() and out.stat().st_size):  # the first rows are written
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            workers = child_pids(proc.pid)
+            assert workers
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=10)
+            assert proc.returncode == 143
+            assert err == ""
+            deadline = time.monotonic() + 5
+            while [pid for pid in workers if is_running(pid)] and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if is_running(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            for pid in filter(is_running, workers):
+                os.kill(pid, signal.SIGKILL)
+            proc.wait()
 
     def test_negative_b_range_parses(self):
         cmd, env = module_command("scan", "--r-range", "3:3", "--a-range", "8:8",

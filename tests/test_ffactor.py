@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trinogen import ffactor
 from trinogen.ffactor import factor, is_irreducible, is_separable
 from trinogen.polyring import get_field
 
@@ -121,9 +122,28 @@ class TestFactor:
             f = random_fq_poly(field, rng)
             base = factor(f, seed=0)
             for seed in (1, 17, 986543):
+                ffactor.FACTORIZATIONS.clear()  # compute again with this seed
                 again = factor(f, seed=seed)
                 assert again.factors == base.factors
                 assert again.unit == base.unit
+
+    def test_memo_keys_on_the_field(self):
+        # The same digit tuples over F_2, F_3 and two models of F_9 are four
+        # different polynomials, each with its own entry and factorization.
+        ffactor.FACTORIZATIONS.clear()
+        one, zero = (1,), (0,)
+        polys = [
+            get_field(2).poly([one, zero, one]),
+            get_field(3).poly([one, zero, one]),
+            get_field(3, (1, 0, 1)).poly([(1, 0), (0, 0), (1, 0)]),
+            get_field(3, (2, 1, 1)).poly([(1, 0), (0, 0), (1, 0)]),
+        ]
+        results = [factor(f) for f in polys]
+        for f, fact in zip(polys, results):
+            assert fact.field == f.field and fact.product() == f
+            assert ffactor.FACTORIZATIONS.get(f) is fact
+        assert [[m for _, m in fact.factors] for fact in results] == [[2], [1], [1, 1], [1, 1]]
+        assert results[2].factors != results[3].factors
 
     def test_factors_are_sorted_and_deduplicated(self):
         F = get_field(3)
