@@ -21,6 +21,7 @@ rows and waits for its workers before it exits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -418,6 +419,14 @@ def cmd_analyze(args) -> int:
     if args.p is not None and not is_probable_prime(args.p):
         print(f"error: --p {args.p} is not prime", file=sys.stderr)
         return EXIT_USAGE
+    # The report prints the discriminant in decimal, so one with more digits
+    # than Python converts to a string is refused before the verdict's work.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    disc = disc_trinomial(T)
+    if limit and abs(disc) >= 10**limit:
+        print(f"error: the discriminant of {T} has {abs(disc).bit_length()} bits, more "
+              f"than the {limit} decimal digits a report can print", file=sys.stderr)
+        return EXIT_USAGE
     v = verdict(T, assume_irreducible=args.assume_irreducible)
     report = build_report(T, v, only_p=args.p)
     if args.json:
@@ -728,19 +737,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="analyze a single trinomial")
     _add_analyze_args(sp)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser(
         "scan",
         help="analyze a whole (r, a, b) box of degree-2^r trinomials",
     )
     _add_scan_args(sp)
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("verify", help="run the built-in known-answer fixtures")
-    sp.set_defaults(func=cmd_verify)
-
+    sub.add_parser("verify", help="run the built-in known-answer fixtures")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One per process: building the parser takes longer than parsing with it.
+    return build_parser()
 
 
 _RANGE_FLAGS = ("--r-range", "--a-range", "--b-range")
@@ -768,15 +779,18 @@ def _glue_range_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_glue_range_values(list(argv)))
+    args = _parser().parse_args(_glue_range_values(list(argv)))
     # Facts are shared within one command, not across commands, so what a
     # command computes does not depend on what ran before it in this process.
     # Pool workers start from these emptied memos and fill their own.
     exactnum.FACTORIZATIONS.clear()
     ffactor.FACTORIZATIONS.clear()
     ore.SPLITTINGS.clear()
+    # Looked up when called, so a command rebound in this module (by a test
+    # or a tracer) is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         # Validation errors raised below the argument parser (for example a
         # malformed TRINOGEN_SF_BOUND) are user input errors, not crashes.

@@ -58,14 +58,13 @@ class FqFactorization:
     """
 
     field: FqField
-    unit: tuple[int, ...]
+    unit: int | tuple[int, ...]
     factors: tuple[tuple[FqPoly, int], ...]
 
     def product(self) -> FqPoly:
         out = self.field.poly([self.unit])
         for g, m in self.factors:
-            for _ in range(m):
-                out = out * g
+            out = out * g**m
         return out
 
 
@@ -78,7 +77,7 @@ def _pth_root(f: FqPoly) -> FqPoly:
     for i in range(0, f.degree + 1, p):
         out.append(field.pow(f[i], root_exp))
     for i in range(f.degree + 1):
-        if i % p and any(f[i]):  # pragma: no cover - caller guarantees p-th power
+        if i % p and f[i] != field.zero:  # pragma: no cover - caller guarantees p-th power
             raise ArithmeticError("polynomial is not a p-th power")
     return FqPoly(field, out)
 
@@ -199,6 +198,6 @@ def _factor(f: FqPoly, seed: int) -> FqFactorization:
                 found.append((irr, mult))
     found.sort(key=lambda gm: gm[0].sort_key())
     result = FqFactorization(field=field, unit=unit, factors=tuple(found))
-    if result.product() != f:  # pragma: no cover - internal consistency guard
+    if result.product() != f:  # internal consistency guard
         raise ArithmeticError("factorization failed to reconstruct its input")
     return result

@@ -203,7 +203,7 @@ class ResidualPolynomial:
 
     side: Side
     field: FqField
-    coeffs: tuple[tuple[int, ...], ...]
+    coeffs: tuple
 
     @property
     def poly(self) -> FqPoly:
@@ -222,7 +222,7 @@ def residual_poly(
     coeffs = tuple(
         residue_coefficient(dev, polygon, s + j * side.e) for j in range(side.d + 1)
     )
-    if not any(coeffs[0]) or not any(coeffs[-1]):  # pragma: no cover - vertices lie on
+    if coeffs[0] == field.zero or coeffs[-1] == field.zero:  # pragma: no cover - vertices lie on
         raise ArithmeticError("residual endpoints must be nonzero")
     return ResidualPolynomial(side=side, field=field, coeffs=coeffs)
 
@@ -265,6 +265,6 @@ def lift_balanced(fbar: FqPoly) -> PolyZ:
         raise ValueError("lift is defined for prime-field polynomials")
     if not fbar.is_monic():
         raise ValueError("lift is defined for monic polynomials")
-    out = [c - p if 2 * c >= p else c for (c,) in fbar.coeffs[:-1]]
+    out = [c - p if 2 * c >= p else c for c in fbar.coeffs[:-1]]
     out.append(1)
     return PolyZ(out)

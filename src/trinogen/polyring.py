@@ -5,9 +5,10 @@ polynomial (coefficient index = power of x) with exact division against
 monic denominators, subresultant resultants and discriminants, phi-adic
 expansion, and characteristic polynomials of root powers via Newton's
 identities.  :class:`FqField` / :class:`FqPoly` model F_q = F_p[t]/(modulus)
-and dense polynomials over it; field elements are fixed-length tuples of
-base-p digits, so every value has exactly one representation and sorting,
-hashing and serialization are canonical.
+and dense polynomials over it.  Prime-field elements are ints in [0, p) and
+extension-field elements are fixed-length tuples of base-p digits, so every
+value has exactly one representation and sorting, hashing and serialization
+are canonical.
 
 All computation is exact big-integer arithmetic.  There are no floats and
 no precision knobs anywhere in this module.
@@ -15,7 +16,10 @@ no precision knobs anywhere in this module.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .exactnum import INFINITY, is_probable_prime, valp
@@ -273,16 +277,21 @@ def power_sums(f: PolyZ, count: int) -> list[int]:
     """[t_1, ..., t_count] where t_j is the sum of j-th powers of the roots.
 
     Newton's identities on a monic f; exact integer arithmetic throughout.
+    The sums run over the nonzero coefficients only, three for a trinomial.
     """
     if not f.is_monic():
         raise ValueError("power_sums requires a monic polynomial")
     n = f.degree
     c = f.coeffs
+    # (i, c[n - i]) for the nonzero coefficients below the leading one, by i.
+    terms = [(i, c[n - i]) for i in range(1, n + 1) if c[n - i]]
     t: list[int] = [0] * (count + 1)
     for k in range(1, count + 1):
         acc = -k * c[n - k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            acc -= c[n - i] * t[k - i]
+        for i, ci in terms:
+            if i >= k:
+                break
+            acc -= ci * t[k - i]
         t[k] = acc
     return t[1:]
 
@@ -365,43 +374,67 @@ def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
 # -- finite fields -------------------------------------------------------------
 
 
-def _digits_divmod(num: list[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Division of F_p[t] digit lists; den need not be monic (lc inverted mod p)."""
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
+def _digits_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Division of F_p[t] digit lists with digits in [0, p).
+
+    ``den`` need not be monic (its leading digit is inverted mod p), and
+    either list may end in zeros.  Quotient and remainder come back without
+    trailing zeros.
+    """
+    dd = len(den) - 1
+    while dd >= 0 and den[dd] == 0:
+        dd -= 1
+    if dd < 0:
         raise ZeroDivisionError("division by zero polynomial")
+    num = list(num)
     while num and num[-1] == 0:
         num.pop()
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    q = [0] * max(len(num) - dd, 0)
-    while len(num) - 1 >= dd and num:
-        k = len(num) - 1 - dd
-        c = num[-1] * inv_lead % p
-        q[k] = c
-        for j, dc in enumerate(den):
-            num[k + j] = (num[k + j] - c * dc) % p
-        while num and num[-1] == 0:
-            num.pop()
+    if len(num) <= dd:
+        return [], num
+    inv_lead = pow(den[dd], -1, p)
+    low = den[:dd]
+    q = [0] * (len(num) - dd)
+    for k in range(len(num) - dd - 1, -1, -1):
+        c = num[k + dd] * inv_lead % p
+        if c:
+            q[k] = c
+            num[k : k + dd] = [(x - c * y) % p for x, y in zip(num[k : k + dd], low)]
+    del num[dd:]
+    while num and num[-1] == 0:
+        num.pop()
     return q, num
+
+
+# array typecodes by item size in bytes: the machine-word Kronecker slots.
+_SLOT_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
 
 
 def _digits_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Product of F_p[t] digit lists with digits in [0, p), reduced mod p.
 
-    Kronecker substitution: each list is packed into one integer, in byte
-    slots wide enough for any coefficient of the product over Z, so the whole
-    product is one big-integer multiplication.
+    Kronecker substitution: each list is packed into one integer, in slots
+    wide enough for any coefficient of the product over Z, so the whole
+    product is one big-integer multiplication.  Slots of 1, 2, 4 or 8 bytes
+    are packed and unpacked as machine arrays in native byte order (on a
+    big-endian host both integers hold their digits in reverse, and so does
+    their product); wider slots are joined byte string by byte string.
     """
     if not a or not b:
         return []
-    width = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+    n = len(a) + len(b) - 1
+    bits = ((p - 1) ** 2 * min(len(a), len(b))).bit_length()
+    for size in (1, 2, 4, 8):
+        if bits <= 8 * size:
+            tc, order = _SLOT_TYPECODES[size], sys.byteorder
+            x = int.from_bytes(array(tc, a).tobytes(), order)
+            y = int.from_bytes(array(tc, b).tobytes(), order)
+            out = array(tc)
+            out.frombytes((x * y).to_bytes(size * n, order))
+            return [c % p for c in out]
+    width = (bits + 7) // 8
     x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
     y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    raw = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
+    raw = (x * y).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
 
 
@@ -410,8 +443,9 @@ class FqField:
 
     ``modulus`` is a monic irreducible polynomial over F_p given as an
     ascending digit tuple; the prime field is the default ``modulus = t``.
-    Elements are tuples of exactly ``deg`` digits in [0, p), least
-    significant first, so each element has one canonical representation.
+    Prime-field elements are plain ints in [0, p).  Extension-field elements
+    are tuples of exactly ``deg`` digits in [0, p), least significant first.
+    Either way each element has one canonical representation.
     """
 
     __slots__ = ("p", "modulus", "deg", "zero", "one")
@@ -427,17 +461,19 @@ class FqField:
             mod = mod[:-1]
         if len(mod) < 2 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
+        deg = len(mod) - 1
         object.__setattr__(self, "modulus", mod)
-        object.__setattr__(self, "deg", len(mod) - 1)
-        object.__setattr__(self, "zero", (0,) * self.deg)
-        one = (1,) + (0,) * (self.deg - 1)
-        object.__setattr__(self, "one", one)
-        if self.deg > 1:
-            from . import ffactor  # deferred: ffactor works over prime fields
+        object.__setattr__(self, "deg", deg)
+        if deg == 1:
+            object.__setattr__(self, "zero", 0)
+            object.__setattr__(self, "one", 1)
+            return
+        object.__setattr__(self, "zero", (0,) * deg)
+        object.__setattr__(self, "one", (1,) + (0,) * (deg - 1))
+        from . import ffactor  # deferred: ffactor works over prime fields
 
-            prime_field = get_field(p)
-            if not ffactor.is_irreducible(prime_field.poly([(c,) for c in mod])):
-                raise ValueError(f"modulus {mod} is reducible over F_{p}")
+        if not ffactor.is_irreducible(get_field(p).poly(mod)):
+            raise ValueError(f"modulus {mod} is reducible over F_{p}")
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FqField is immutable")
@@ -459,35 +495,45 @@ class FqField:
 
     # -- elements ------------------------------------------------------------
 
-    def elem(self, digits: Sequence[int]) -> tuple[int, ...]:
-        """Canonical element from any digit sequence (reduced mod p, mod t-modulus)."""
-        ds = [c % self.p for c in digits]
+    def elem(self, digits: int | Sequence[int]):
+        """Canonical element from an int (a constant) or any digit sequence
+        (reduced mod p, then mod the modulus)."""
+        p = self.p
+        if isinstance(digits, int):
+            digits = (digits,)
+        if self.deg == 1:
+            return digits[0] % p if digits else 0
+        ds = [c % p for c in digits]
         if len(ds) > self.deg:
-            _, ds = _digits_divmod(ds, self.modulus, self.p)
+            _, ds = _digits_divmod(ds, self.modulus, p)
         ds += [0] * (self.deg - len(ds))
         return tuple(ds)
 
-    def from_int(self, k: int) -> tuple[int, ...]:
+    def from_int(self, k: int):
         """Element from its base-p packed integer form (inverse of to_int)."""
         if not 0 <= k < self.order:
             k %= self.order
+        if self.deg == 1:
+            return k
         ds = []
         for _ in range(self.deg):
             k, r = divmod(k, self.p)
             ds.append(r)
         return tuple(ds)
 
-    def to_int(self, e: Sequence[int]) -> int:
+    def to_int(self, e) -> int:
         """Base-p packed integer form: sum e[i] * p**i."""
+        if self.deg == 1:
+            return e
         out = 0
-        for d in reversed(tuple(e)):
+        for d in reversed(e):
             out = out * self.p + d
         return out
 
-    def elem_str(self, e: Sequence[int]) -> str:
+    def elem_str(self, e) -> str:
         """Human form: a digit for the prime field, a t-polynomial otherwise."""
         if self.deg == 1:
-            return str(e[0])
+            return str(e)
         parts = []
         for i in range(self.deg - 1, -1, -1):
             c = e[i]
@@ -503,26 +549,34 @@ class FqField:
 
     def add(self, a, b):
         p = self.p
+        if self.deg == 1:
+            return (a + b) % p
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
         p = self.p
+        if self.deg == 1:
+            return (a - b) % p
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
+        if self.deg == 1:
+            return -a % p
+        return tuple(-x % p for x in a)
 
     def smul(self, k: int, a):
         """Integer scalar multiple (used by derivatives)."""
         p = self.p
+        if self.deg == 1:
+            return k * a % p
         k %= p
         return tuple(x * k % p for x in a)
 
     def mul(self, a, b):
         p = self.p
         if self.deg == 1:
-            return (a[0] * b[0] % p,)
+            return a * b % p
         conv = [0] * (2 * self.deg - 1)
         for i, x in enumerate(a):
             if x:
@@ -534,12 +588,12 @@ class FqField:
 
     def inv(self, a):
         p = self.p
-        if not any(a):
+        if a == self.zero:
             raise ZeroDivisionError("inverse of zero field element")
         if self.deg == 1:
-            return (pow(a[0], -1, p),)
+            return pow(a, -1, p)
         # extended Euclid in F_p[t] against the modulus
-        r0, r1 = list(self.modulus), [c for c in a]
+        r0, r1 = list(self.modulus), list(a)
         s0, s1 = [0], [1]
         while any(r1):
             q, r2 = _digits_divmod(r0, r1, p)
@@ -563,6 +617,8 @@ class FqField:
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
+        if self.deg == 1:
+            return pow(a, e, self.p)
         out = self.one
         base = a
         while e:
@@ -576,13 +632,7 @@ class FqField:
 
     def poly(self, coeffs: Sequence) -> "FqPoly":
         """FqPoly from a sequence of elements, digit tuples, or plain ints."""
-        out = []
-        for c in coeffs:
-            if isinstance(c, int):
-                out.append(self.elem([c]))
-            else:
-                out.append(self.elem(c))
-        return FqPoly(self, out)
+        return FqPoly(self, [self.elem(c) for c in coeffs])
 
 
 _FIELD_CACHE: dict[tuple[int, tuple[int, ...] | None], FqField] = {}
@@ -603,16 +653,18 @@ class FqPoly:
 
     Immutable and normalized (no leading zero elements).  Coefficients are
     canonical field elements.  The canonical sort key used everywhere for
-    deterministic factor ordering is (degree, coefficient tuple sequence).
-    Over a prime field, products, division and ``pow_mod`` run on plain
-    digit lists, and a product takes one big-integer multiplication.
+    deterministic factor ordering is (degree, coefficient sequence).
+    Over a prime field the coefficients are plain ints, so products,
+    division, gcd and ``pow_mod`` run the digit-list kernels on them
+    directly, and a product takes one big-integer multiplication.
     """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FqField, coeffs: Sequence[tuple[int, ...]]):
+    def __init__(self, field: FqField, coeffs: Sequence):
         cs = list(coeffs)
-        while cs and not any(cs[-1]):
+        zero = field.zero
+        while cs and cs[-1] == zero:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -628,7 +680,7 @@ class FqPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> tuple[int, ...]:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -664,7 +716,7 @@ class FqPoly:
         parts = []
         for i in range(self.degree, -1, -1):
             e = self[i]
-            if not any(e):
+            if e == fld.zero:
                 continue
             es = fld.elem_str(e)
             if i == 0:
@@ -686,21 +738,23 @@ class FqPoly:
         if self.field != other.field:
             raise ValueError("mixed-field polynomial arithmetic")
 
-    def _digits(self) -> list[int]:
-        """Coefficients as plain ints; only meaningful over a prime field."""
-        return [c[0] for c in self.coeffs]
-
     def __add__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
         fld = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(fld, [fld.add(self[i], other[i]) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=fld.zero)
+        if fld.deg == 1:
+            p = fld.p
+            return FqPoly(fld, [(x + y) % p for x, y in pairs])
+        return FqPoly(fld, [fld.add(x, y) for x, y in pairs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
         fld = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(fld, [fld.sub(self[i], other[i]) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=fld.zero)
+        if fld.deg == 1:
+            p = fld.p
+            return FqPoly(fld, [(x - y) % p for x, y in pairs])
+        return FqPoly(fld, [fld.sub(x, y) for x, y in pairs])
 
     def __neg__(self) -> "FqPoly":
         fld = self.field
@@ -709,21 +763,25 @@ class FqPoly:
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
         fld = self.field
+        if fld.deg == 1:
+            return FqPoly(fld, _digits_mul(self.coeffs, other.coeffs, fld.p))
         if self.is_zero() or other.is_zero():
             return FqPoly(fld, ())
-        if fld.deg == 1:
-            return _from_digits(fld, _digits_mul(self._digits(), other._digits(), fld.p))
-        out = [fld.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = fld.zero
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if any(a):
+            if a != zero:
                 for j, b in enumerate(other.coeffs):
-                    if any(b):
+                    if b != zero:
                         out[i + j] = fld.add(out[i + j], fld.mul(a, b))
         return FqPoly(fld, out)
 
     def cmul(self, c) -> "FqPoly":
         """Multiply by a field element."""
         fld = self.field
+        if fld.deg == 1:
+            p = fld.p
+            return FqPoly(fld, [c * a % p for a in self.coeffs])
         return FqPoly(fld, [fld.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, e: int) -> "FqPoly":
@@ -744,8 +802,8 @@ class FqPoly:
             raise ZeroDivisionError("polynomial division by zero")
         fld = self.field
         if fld.deg == 1:
-            q, r = _digits_divmod(self._digits(), den._digits(), fld.p)
-            return _from_digits(fld, q), _from_digits(fld, r)
+            q, r = _digits_divmod(self.coeffs, den.coeffs, fld.p)
+            return FqPoly(fld, q), FqPoly(fld, r)
         inv_lead = fld.inv(den.leading)
         rem = list(self.coeffs)
         dd = den.degree
@@ -754,7 +812,7 @@ class FqPoly:
         q = [fld.zero] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if any(c):
+            if c != fld.zero:
                 c = fld.mul(c, inv_lead)
                 q[i - dd] = c
                 for j, dc in enumerate(den.coeffs):
@@ -777,9 +835,17 @@ class FqPoly:
     def gcd(self, other: "FqPoly") -> "FqPoly":
         """Monic gcd; gcd(0, 0) is an error."""
         self._check(other)
-        a, b = self, other
-        if a.is_zero() and b.is_zero():
+        if self.is_zero() and other.is_zero():
             raise ValueError("gcd(0, 0) is undefined")
+        fld = self.field
+        if fld.deg == 1:
+            p = fld.p
+            a, b = self.coeffs, other.coeffs
+            while b:
+                a, b = b, _digits_divmod(a, b, p)[1]
+            inv_lead = pow(a[-1], -1, p)
+            return FqPoly(fld, [c * inv_lead % p for c in a])
+        a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
@@ -790,15 +856,15 @@ class FqPoly:
         fld = self.field
         if fld.deg == 1 and e:
             # Over the prime field the whole loop runs on digit lists.
-            p, m = fld.p, mod._digits()
-            base = _digits_divmod(self._digits(), m, p)[1]
+            p, m = fld.p, mod.coeffs
+            base = _digits_divmod(self.coeffs, m, p)[1]
             acc = [1]
             while e:
                 if e & 1:
                     acc = _digits_divmod(_digits_mul(acc, base, p), m, p)[1]
                 base = _digits_divmod(_digits_mul(base, base, p), m, p)[1]
                 e >>= 1
-            return _from_digits(fld, acc)
+            return FqPoly(fld, acc)
         out = fld.poly([1])
         base = self % mod
         while e:
@@ -810,9 +876,13 @@ class FqPoly:
 
     def derivative(self) -> "FqPoly":
         fld = self.field
-        return FqPoly(fld, [fld.smul(i, self.coeffs[i]) for i in range(1, len(self.coeffs))])
+        coeffs = enumerate(self.coeffs[1:], 1)
+        if fld.deg == 1:
+            p = fld.p
+            return FqPoly(fld, [i * c % p for i, c in coeffs])
+        return FqPoly(fld, [fld.smul(i, c) for i, c in coeffs])
 
-    def __call__(self, e) -> tuple[int, ...]:
+    def __call__(self, e):
         fld = self.field
         out = fld.zero
         for c in reversed(self.coeffs):
@@ -820,12 +890,6 @@ class FqPoly:
         return out
 
 
-def _from_digits(field: FqField, digits: Sequence[int]) -> FqPoly:
-    """FqPoly over the prime field ``field`` from digits in [0, p)."""
-    return FqPoly(field, [(c,) for c in digits])
-
-
 def reduce_mod(f: PolyZ, p: int) -> FqPoly:
     """Reduce an integer polynomial modulo p (coefficients into [0, p))."""
-    field = get_field(p)
-    return field.poly([c % p for c in f.coeffs])
+    return FqPoly(get_field(p), [c % p for c in f.coeffs])

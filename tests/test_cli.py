@@ -266,6 +266,40 @@ class TestAnalyzeExitCodes:
         assert not cli._pow2_over_cap(10)
         assert cli._pow2_over_cap(11)
 
+    @pytest.mark.parametrize("n,a,b", [(600, 10**6, 10**6), (1024, 100, 100)])
+    def test_unprintable_discriminant_refused_before_verdict(self, capsys, monkeypatch, n, a, b):
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("verdict was called")
+
+        monkeypatch.setattr(cli, "verdict", no_verdict)
+        code, out, err = run_cli(capsys, "analyze", "--n", str(n), "--a", str(a), "--b", str(b))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: the discriminant of ") and err.count("\n") == 1
+        bits = abs(cli.disc_trinomial(Trinomial(n, 1, a, b))).bit_length()
+        assert f"{bits} bits" in err and str(sys.get_int_max_str_digits()) in err
+
+    def test_discriminant_at_the_digit_limit_is_analyzed(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "verdict", reached)
+        argv = ("analyze", "--n", "3", "--a", str(10**215), "--b", str(10**215))
+        digits = len(str(abs(cli.disc_trinomial(Trinomial(3, 1, 10**215, 10**215)))))
+        assert digits >= 640  # the least limit Python accepts
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(digits)
+            with pytest.raises(Reached):
+                main(list(argv))
+            sys.set_int_max_str_digits(digits - 1)
+            code, _, err = run_cli(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert code == EXIT_USAGE and f"the {digits - 1} decimal digits" in err
+
     def test_invalid_squarefree_bound_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TRINOGEN_SF_BOUND", "abc")
         code, out, err = run_cli(capsys, "analyze", "--n", "8", "--a", "12", "--b", "3")
@@ -572,6 +606,17 @@ def test_main_empties_every_memo(capsys):
     code, _, _ = run_cli(capsys, "analyze", "--n", "3", "--a", "1", "--b", "0")  # b = 0
     assert code == EXIT_USAGE
     assert [name for name, memo in memos if memo.get(stale) is not None] == []
+
+
+def test_command_looked_up_at_each_call(capsys, monkeypatch):
+    # The parser is built once, but each call runs the command the module
+    # holds then, so a rebound cmd_verify is honoured by the next call.
+    assert run_cli(capsys, "verify")[0] == EXIT_OK
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.command) or 7)
+    assert run_cli(capsys, "verify")[0] == 7
+    assert calls == ["verify"]
+    assert cli._parser() is cli._parser()
 
 
 # -- verify ----------------------------------------------------------------------

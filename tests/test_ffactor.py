@@ -152,13 +152,25 @@ class TestFactor:
         keys = [g.sort_key() for g, _ in fact.factors]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-        assert dict(
-            ((tuple(g.coeffs), m) for g, m in fact.factors)
-        ) == {
-            ((1,), (1,)): 2,
-            ((2,), (1,)): 1,
-            ((1,), (0,), (1,)): 1,
-        }
+        assert [(g.coeffs, m) for g, m in fact.factors] == [
+            ((1, 1), 2),
+            ((2, 1), 1),
+            ((1, 0, 1), 1),
+        ]
+
+    def test_reconstruction_guard_catches_a_lost_factor(self, monkeypatch):
+        # An equal-degree split that loses a factor no longer multiplies back
+        # to the input, so factor raises instead of returning it.
+        F5 = get_field(5)
+        f = F5.poly([1, 1]) * F5.poly([2, 1]) * F5.poly([3, 1]) ** 2
+        real = ffactor._equal_degree
+        monkeypatch.setattr(ffactor, "_equal_degree", lambda g, d, rng: real(g, d, rng)[:-1])
+        ffactor.FACTORIZATIONS.clear()
+        with pytest.raises(ArithmeticError):
+            factor(f)
+        assert ffactor.FACTORIZATIONS.get(f) is None
+        monkeypatch.undo()
+        assert factor(f).product() == f
 
     def test_pth_power_multiplicities(self):
         # multiplicities divisible by p exercise the p-th-root descent

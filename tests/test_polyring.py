@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_mul, gf_pow_mod
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
 
 from conftest import random_monic_polyz, random_polyz, sympy_poly
 from trinogen.exactnum import INFINITY
@@ -15,6 +15,7 @@ from trinogen.polyring import (
     FqPoly,
     PhiDevelopment,
     PolyZ,
+    _digits_mul,
     discriminant,
     get_field,
     phi_expand,
@@ -174,6 +175,28 @@ class TestPowerSumsCharpoly:
         for k in range(1, 8):
             assert sums[k - 1] == 2**k + 3**k + (-1) ** k
 
+    def test_power_sums_match_dense_newton_loop(self, rng):
+        # The Newton identities summed over every coefficient, zero or not.
+        def dense(f, count):
+            n, c = f.degree, f.coeffs
+            t = [0] * (count + 1)
+            for k in range(1, count + 1):
+                acc = -k * c[n - k] if k <= n else 0
+                for i in range(1, min(k - 1, n) + 1):
+                    acc -= c[n - i] * t[k - i]
+                t[k] = acc
+            return t[1:]
+
+        polys = [PolyZ([-2, 1]) * PolyZ([-3, 1]) * PolyZ([1, 1]), PolyZ([5, 0, 0, 0, 0, 1])]
+        polys += [random_monic_polyz(rng, rng.randint(1, 9), span=40) for _ in range(20)]
+        for n, m, a, b in ((16, 1, -93, 7), (24, 7, 5, -20), (48, 7, -93, -20), (7, 6, 3, 0)):
+            polys.append(PolyZ([b] + [0] * (m - 1) + [a] + [0] * (n - m - 1) + [1]))
+        for f in polys:
+            n = f.degree
+            for count in (0, 1, n - 1, n, n + 1, 3 * n + 2):
+                if count >= 0:
+                    assert power_sums(f, count) == dense(f, count), (f, count)
+
     def test_power_charpoly_oracle(self, rng):
         # Convention-free oracle: the characteristic polynomial of the k-th
         # power of the companion matrix of f is exactly prod (x - theta^k).
@@ -238,11 +261,18 @@ class TestFqField:
     def test_prime_field_basics(self):
         F = get_field(5)
         assert F.order == 5 and F.deg == 1
-        assert F.elem([7]) == (2,)
-        assert F.add((3,), (4,)) == (2,)
-        assert F.mul((3,), (4,)) == (2,)
-        assert F.inv((3,)) == (2,)
-        assert F.neg((1,)) == (4,)
+        assert (F.zero, F.one) == (0, 1)
+        assert F.elem([7]) == F.elem(7) == F.elem([2, 3]) == 2
+        assert F.add(3, 4) == 2
+        assert F.sub(3, 4) == 4
+        assert F.mul(3, 4) == 2
+        assert F.inv(3) == 2
+        assert F.neg(1) == 4
+        assert F.smul(7, 3) == 1
+        assert F.pow(3, 2) == 4 and F.pow(3, -1) == 2 and F.pow(0, 0) == 1
+        assert F.from_int(12) == 2 and F.to_int(4) == 4
+        for e in (F.elem([7]), F.add(3, 4), F.mul(3, 4), F.inv(3), F.from_int(12)):
+            assert type(e) is int
 
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
@@ -302,7 +332,8 @@ class TestFqField:
         F = get_field(2, (1, 1, 1))
         assert F.elem_str(F.elem([1, 1])) == "t+1"
         assert F.elem_str(F.zero) == "0"
-        assert get_field(5).elem_str((3,)) == "3"
+        assert get_field(5).elem_str(3) == "3"
+        assert get_field(5).elem_str(get_field(5).zero) == "0"
 
 
 class TestFqPoly:
@@ -382,15 +413,75 @@ class TestFqPoly:
         assert m.cmul(f.leading) == f
 
 
+# The least prime above 2^32: even a product of two digits needs a slot wider
+# than 8 bytes.
+BIG_PRIME = 2**32 + 15
+
+
+def _schoolbook_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+class TestDigitsMul:
+    """_digits_mul packs 1-, 2-, 4- and 8-byte slots as arrays, wider ones as bytes."""
+
+    @staticmethod
+    def _operands(bits: int):
+        # A prime p and a length whose all-(p-1) product has a coefficient of
+        # exactly ``bits`` bits, the most a slot has to hold.
+        for length in (1, 2, 3, 5, 7):
+            p = math.isqrt((1 << (bits - 1)) // length) + 1
+            while not sympy.isprime(p):
+                p += 1
+            if ((p - 1) ** 2 * length).bit_length() == bits:
+                return p, length
+        raise AssertionError(f"no operands for {bits} bits")  # pragma: no cover
+
+    @pytest.mark.parametrize("bits", [8, 9, 16, 17, 32, 33, 64, 65])
+    def test_every_slot_width_against_schoolbook(self, bits, rng):
+        p, length = self._operands(bits)
+        top = [p - 1] * length
+        for la, lb in ((length, length), (length, length + 4), (length + 9, length)):
+            a = top + [rng.randrange(p) for _ in range(la - length)]
+            b = top + [rng.randrange(p) for _ in range(lb - length)]
+            rng.shuffle(a)
+            assert _digits_mul(a, b, p) == _schoolbook_mul(a, b, p)
+            assert _digits_mul(b, a, p) == _schoolbook_mul(b, a, p)
+
+    def test_prime_above_two_to_the_32(self, rng):
+        p = BIG_PRIME
+        assert sympy.isprime(p)
+        for la, lb in ((1, 1), (3, 8), (20, 17)):
+            a = [rng.randrange(p) for _ in range(la)]
+            b = [rng.randrange(p) for _ in range(lb)]
+            assert _digits_mul(a, b, p) == _schoolbook_mul(a, b, p)
+            assert _digits_mul([p - 1] * la, [p - 1] * lb, p) == _schoolbook_mul(
+                [p - 1] * la, [p - 1] * lb, p
+            )
+
+    def test_small_primes_and_zero_digits(self, rng):
+        for p in (2, 3, 5, 7, 251, 257):
+            for _ in range(30):
+                a = [rng.randrange(p) for _ in range(rng.randint(1, 60))]
+                b = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(rng.randint(1, 60))]
+                assert _digits_mul(a, b, p) == _schoolbook_mul(a, b, p)
+        assert _digits_mul([], [1, 2], 3) == [] and _digits_mul([1], [], 3) == []
+
+
 def _gf(f: FqPoly) -> list[int]:
     """A prime-field FqPoly as a sympy galoistools list (descending, ints)."""
-    return [int(c[0]) for c in reversed(f.coeffs)]
+    assert all(type(c) is int and 0 <= c < f.field.p for c in f.coeffs)
+    return list(reversed(f.coeffs))
 
 
 class TestPrimeFieldDigitArithmetic:
     """Over F_p, FqPoly's product, division and pow_mod run on packed digit lists."""
 
-    PRIMES = (2, 3, 5, 7, 257, 10007, 999983)
+    PRIMES = (2, 3, 5, 7, 257, 10007, 999983, BIG_PRIME)
 
     def _poly(self, F, rng, length, top=None):
         digits = [rng.randrange(F.p) for _ in range(length)]
@@ -429,6 +520,21 @@ class TestPrimeFieldDigitArithmetic:
                     if e == 0:
                         expected = [1]  # pow_mod(0, mod) is 1, unreduced
                     assert _gf(f.pow_mod(e, mod)) == expected
+
+    def test_gcd_against_sympy(self, rng):
+        for p in self.PRIMES + (BIG_PRIME,):
+            F = get_field(p)
+            common = self._poly(F, rng, rng.randint(1, 6), top=1)
+            for _ in range(20):
+                f = self._poly(F, rng, rng.randint(0, 30))
+                g = self._poly(F, rng, rng.randint(0, 30))
+                if rng.random() < 0.5:
+                    f, g = f * common, g * common
+                if f.is_zero() and g.is_zero():
+                    continue
+                got = f.gcd(g)
+                assert _gf(got) == gf_gcd(_gf(f), _gf(g), p, ZZ)
+                assert got.is_monic()
 
     def test_zero_operands(self):
         F = get_field(5)
