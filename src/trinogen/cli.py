@@ -28,7 +28,6 @@ import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from operator import attrgetter
 
@@ -516,7 +515,7 @@ def _start_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_rows(pool: ProcessPoolExecutor, items, jobs: int):
+def _pool_rows(pool, items, jobs: int):
     """The rows of ``items`` in order, computed on ``pool`` through a window
     of POOL_WINDOW chunks per worker, refilled as each chunk is taken."""
     chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
@@ -580,6 +579,10 @@ def cmd_scan(args) -> int:
         if args.jobs == 1:
             rows = map(_scan_row, items)
         else:
+            # Imported here: it loads multiprocessing, which no other
+            # command needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_start_worker)
             rows = _pool_rows(pool, items, args.jobs)
         if args.format == "csv":

@@ -9,7 +9,8 @@ object rather than a sentinel integer.
 
 Trial division tries the first block of primes one by one and every later
 block at once, by a gcd with the block's product (Bernstein, *How to find
-smooth parts of integers*, 2004).  :func:`factored` shares the result among
+smooth parts of integers*, 2004), and stops early once what is left is a
+certified prime.  :func:`factored` shares the result among
 the callers that ask about the same integer, and :func:`strip_factored`
 derives the factorization of ``t / p**nu`` from that of ``t`` without
 dividing again.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 
 class NotCoprime(ValueError):
@@ -208,20 +210,29 @@ def is_certified_prime(n: int) -> bool:
 
 @lru_cache(maxsize=4)
 def primes_below(bound: int) -> tuple[int, ...]:
-    """All primes < bound, by sieve.  Cached; bounds in use are few."""
+    """All primes < bound, by a sieve of the odd numbers.  Cached; bounds in
+    use are few."""
     if bound <= 2:
         return ()
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, bound, i)))
-    return tuple(i for i in range(bound) if sieve[i])
+    # odd[i] stands for 2*i + 1; p*p is the first odd multiple of p to strike.
+    odd = bytearray([1]) * (bound // 2)
+    odd[0] = 0
+    for i in range(1, (math.isqrt(bound - 1) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, len(odd), p)))
+    return (2, *compress(range(1, bound, 2), odd))
 
 
 # Primes are tried in blocks of this many: the first block one by one, each
 # later block by one gcd with the product of its primes.
 _BLOCK = 256
+
+# The first block: the primes below 1620, the 256th being 1619.  Kept out of
+# the primes_below cache, so a trial division that ends inside it builds no
+# sieve and takes no slot there.
+_FIRST_BLOCK = primes_below.__wrapped__(1620)
 
 
 @lru_cache(maxsize=4)
@@ -246,14 +257,15 @@ def trial_factor(t: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     The first block of primes is tried one by one.  Each later block is
     tried at once: gcd(t, product of the block) is 1 unless some prime of the
     block divides t, and only then are that block's primes tried one by one.
-    The block products are built the first time some t outlives the first
-    block.  Division stops once the square of the next prime exceeds what
-    is left of t, which is then 1 or a prime.
+    The sieve and the block products are built the first time some t
+    outlives the first block.  Division stops once the square of the next
+    prime exceeds what is left of t, which is then 1 or a prime, or once
+    what is left is a certified prime, which no later block can split.  That
+    is checked after the first block and after each block that divided t.
     """
     if t == 0:
         raise ValueError("cannot factor zero")
     t = abs(t)
-    primes = primes_below(bound)
     out: list[tuple[int, int]] = []
 
     def divide_out(p: int) -> None:
@@ -264,29 +276,34 @@ def trial_factor(t: int, bound: int) -> tuple[list[tuple[int, int]], int]:
             nu += 1
         out.append((p, nu))
 
-    for p in primes[:_BLOCK]:
-        if p * p > t:
+    for p in _FIRST_BLOCK:
+        if p >= bound or p * p > t:
             break
         if t % p == 0:
             divide_out(p)
     else:  # t outlived the first block
-        for k, product in enumerate(_block_products(bound), 1):
-            lo = k * _BLOCK
-            if primes[lo] * primes[lo] > t:
-                break
-            g = math.gcd(t, product)
-            if g == 1:
-                continue
-            for p in primes[lo : lo + _BLOCK]:
-                if g % p == 0:
-                    divide_out(p)
-                    g //= p
-                    if g == 1:
-                        break
+        if not is_certified_prime(t):
+            primes = primes_below(bound)
+            for k, product in enumerate(_block_products(bound), 1):
+                lo = k * _BLOCK
+                if primes[lo] * primes[lo] > t:
+                    break
+                g = math.gcd(t, product)
+                if g == 1:
+                    continue
+                for p in primes[lo : lo + _BLOCK]:
+                    if g % p == 0:
+                        divide_out(p)
+                        g //= p
+                        if g == 1:
+                            break
+                if is_certified_prime(t):
+                    break
     if 1 < t < bound * bound:
-        # Either division stopped at p*p > t (all smaller primes tried, so t
-        # is prime) or every prime below the bound was tried, in which case
-        # all factors of t are >= bound and a composite t would be >= bound**2.
+        # t is prime when division stopped at p*p > t (all smaller primes
+        # were tried) or at a certified prime.  Otherwise every prime below
+        # the bound was tried, so all factors of t are >= bound and a
+        # composite t would be >= bound**2.
         out.append((t, 1))
         t = 1
     return out, t
@@ -388,7 +405,13 @@ def perfect_power(t: int) -> tuple[int, int] | None:
     """(base, k) with base**k == t and k >= 2, or None.  Requires t >= 2."""
     if t < 2:
         raise ValueError("perfect_power needs t >= 2")
-    for k in primes_below(t.bit_length() + 1):
+    bits = t.bit_length()
+    # The exponents are the primes k <= bits.  The first-block table holds
+    # them for t of up to 1619 bits, which leaves the primes_below cache to
+    # the trial-division sieve.
+    for k in _FIRST_BLOCK if bits <= _FIRST_BLOCK[-1] else primes_below(bits + 1):
+        if k > bits:
+            break
         r = iroot(t, k)
         if r**k == t:
             deeper = perfect_power(r) if r >= 2 else None

@@ -8,6 +8,8 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 ``trinogen`` console script.
 """
 
+import concurrent.futures
+import functools
 import importlib
 import json
 import math
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import trinogen
-from trinogen import cli, exactnum, ffactor, ore
+from trinogen import cli, exactnum, ffactor, monogenity, ore
 from trinogen.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
@@ -524,7 +526,9 @@ def recording_pools(monkeypatch):
         pools.append(RecordingPool(*args, **kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", make)
+    # cmd_scan imports ProcessPoolExecutor from concurrent.futures when it
+    # starts a pool, so that is where the name is looked up.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return pools
 
 
@@ -617,6 +621,69 @@ def test_command_looked_up_at_each_call(capsys, monkeypatch):
     assert run_cli(capsys, "verify")[0] == 7
     assert calls == ["verify"]
     assert cli._parser() is cli._parser()
+
+
+# -- cold start --------------------------------------------------------------------
+
+
+def test_cold_analyze_builds_no_sieve_and_loads_no_pool():
+    # The discriminant of x^3 + 2x + 2 is -140, factored inside the first
+    # block of primes, and only a scan on a pool needs the process pool.
+    code = (
+        "import contextlib, io, sys\n"
+        "from trinogen import cli, exactnum\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(sys.argv[1:])\n"
+        "print(rc, exactnum.primes_below.cache_info().misses,\n"
+        "      exactnum._block_products.cache_info().misses,\n"
+        "      'concurrent.futures.process' in sys.modules)\n"
+    )
+    _, env = module_command()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--n", "3", "--a", "2", "--b", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == f"{EXIT_OK} 0 0 False\n"
+
+
+# A discriminant that outlives the first block, five whose cofactor is a
+# prime above the squarefree bound's square (so perfect_power runs on 51- to
+# 80-bit integers and no sieve is needed), then one more that needs the sieve.
+SIEVE_BATCH = [
+    (4, 2531829, 6625039),
+    (4, 832970, 3710137),
+    (4, 658788, 1303255),
+    (3, 1965541, 8283794),
+    (4, 8331000, 1352929),
+    (3, 7537114, 6739472),
+    (5, 811111, 1216279),
+]
+
+
+def test_sieve_built_once_per_process(capsys, monkeypatch):
+    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
+    built, powers = Counter(), Counter()
+    sieve, perfect_power = exactnum.primes_below.__wrapped__, monogenity.perfect_power
+
+    def counting_sieve(bound):
+        built[bound] += 1
+        return sieve(bound)
+
+    def counting_perfect_power(t):
+        powers[t.bit_length()] += 1
+        return perfect_power(t)
+
+    # Caches of the same size as the package's, empty as in a new process.
+    monkeypatch.setattr(exactnum, "primes_below", functools.lru_cache(maxsize=4)(counting_sieve))
+    monkeypatch.setattr(exactnum, "_block_products",
+                        functools.lru_cache(maxsize=4)(exactnum._block_products.__wrapped__))
+    monkeypatch.setattr(monogenity, "perfect_power", counting_perfect_power)
+    for n, a, b in SIEVE_BATCH:
+        code, _, _ = run_cli(capsys, "analyze", "--n", str(n), "--a", str(a), "--b", str(b))
+        assert code in (EXIT_OK, EXIT_UNCERTIFIED)
+    assert len(powers) >= 5, powers
+    assert built[monogenity.DEFAULT_SF_BOUND] == 1, built
 
 
 # -- verify ----------------------------------------------------------------------

@@ -175,6 +175,26 @@ class TestPrimesBelow:
     def test_count_below_10000(self):
         assert len(primes_below(10000)) == 1229
 
+    def test_matches_plain_sieve_for_every_bound_to_2000(self):
+        for bound in range(2001):
+            assert primes_below(bound) == plain_sieve(bound), bound
+
+    @pytest.mark.parametrize("bound", [10**6, 10**6 + 1])
+    def test_matches_plain_sieve_at_the_default_bound(self, bound):
+        assert primes_below(bound) == plain_sieve(bound)
+
+
+def plain_sieve(bound):
+    """Eratosthenes over every integer below ``bound``, one byte each."""
+    if bound <= 2:
+        return ()
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, bound, i)))
+    return tuple(i for i in range(bound) if sieve[i])
+
 
 class TestTrialFactor:
     def test_complete_factorization(self):
@@ -235,9 +255,25 @@ def next_prime(n):
     return n
 
 
-# 2, 3 and 10 hold no full block; 1620 holds exactly the first block of 256
-# primes (the 256th is 1619); the others end in the middle of a later block.
-BLOCK_BOUNDS = (2, 3, 10, 1620, 1621, 1700, 5003, 40000, 10**6)
+# 2, 3 and 10 hold no full block; 1619 stops one prime short of the first
+# block of 256 primes (the 256th is 1619); 1620 and 1621 hold exactly that
+# block; 1622 adds one prime (1621) in a second block; the others end in the
+# middle of a later block.
+BLOCK_BOUNDS = (2, 3, 10, 1619, 1620, 1621, 1622, 1700, 5003, 40000, 10**6)
+
+
+def counting_blocks(monkeypatch):
+    """The 1-based numbers of the later blocks trial_factor takes, in order."""
+    taken = []
+    products = exactnum._block_products
+
+    def counted(bound):
+        for k, product in enumerate(products(bound), 1):
+            taken.append(k)
+            yield product
+
+    monkeypatch.setattr(exactnum, "_block_products", counted)
+    return taken
 
 
 def seeded_cases(rng, bound):
@@ -290,6 +326,78 @@ class TestBlockTrialFactor:
             [(top, 2), (next_prime(bound), 1)],
             1,
         )
+
+    @pytest.mark.parametrize("bound", [1619, 1620, 1621, 1622])
+    def test_first_block_edge(self, bound):
+        cases = [1619, 1621, 1619**2, 1621**2, 1619 * 1621, 1621 * 1627,
+                 2 * 1619**2 * 1621, 1619**2 - 2, 1619**2 + 2, 1621**2 * 1627**2]
+        for t in cases:
+            assert trial_factor(t, bound) == reference_trial_factor(t, bound), t
+
+    # The prime-cofactor stop: what is left after the first block, or after a
+    # block that divided t, is a certified prime, so no later block is tried.
+
+    def test_prime_after_first_block_builds_no_sieve(self, monkeypatch):
+        def no_sieve(_bound):
+            raise AssertionError("a sieve was built for a certified-prime rest")
+
+        bound = 10**6
+        below = next_prime(1619**2)  # outlives the first block, below the bound
+        between = next_prime(bound + 1)  # between the bound and its square
+        above = next_prime(bound**2 + 1)  # above the bound's square
+        cases = [below, 2 * 3 * below, 8 * between, -5 * between, 7**3 * above]
+        expected = [reference_trial_factor(t, bound) for t in cases]
+        monkeypatch.setattr(exactnum, "primes_below", no_sieve)
+        monkeypatch.setattr(exactnum, "_block_products", no_sieve)
+        for t, want in zip(cases, expected):
+            assert trial_factor(t, bound) == want, t
+        assert expected[0] == ([(below, 1)], 1)
+        assert expected[2] == ([(2, 3), (between, 1)], 1)
+        assert expected[4] == ([(7, 3)], above)
+
+    def test_prime_after_a_block_hit_stops(self, monkeypatch):
+        bound = 10**6
+        primes = primes_below(bound)
+        hit = primes[3 * 256 + 5]  # a prime of the fourth block
+        above = next_prime(bound**2 + 1)
+        taken = counting_blocks(monkeypatch)
+        for rest, cofactor in [
+            (above, above),  # above the bound's square: the cofactor
+            (next_prime(bound + 1), 1),  # between the bound and its square: claimed
+            (primes[-1], 1),  # below the bound, in the last block
+        ]:
+            t = 4 * hit * rest
+            taken.clear()
+            got = trial_factor(t, bound)
+            assert got == reference_trial_factor(t, bound), t
+            assert got[1] == cofactor
+            assert taken == [1, 2, 3], "a block after the hit was tried"
+
+    def test_one_left_after_a_block_hit(self, monkeypatch):
+        bound = 10**6
+        hit = primes_below(bound)[2 * 256]  # the first prime of the third block
+        taken = counting_blocks(monkeypatch)
+        t = 12 * hit**2
+        got = trial_factor(t, bound)
+        assert got == reference_trial_factor(t, bound)
+        assert got == ([(2, 2), (3, 1), (hit, 2)], 1)
+        # The next block is taken only to see that its first prime's square
+        # exceeds what is left.
+        assert taken == [1, 2, 3]
+
+    def test_no_stop_above_the_certified_bound(self, monkeypatch):
+        bound = 10**6
+        primes = primes_below(bound)
+        big = next_prime(MR_CERTIFIED_BOUND + 1)  # prime, but not certified
+        assert is_probable_prime(big) and not is_certified_prime(big)
+        blocks = list(range(1, len(exactnum._block_products(bound)) + 1))
+        taken = counting_blocks(monkeypatch)
+        for t in (big, 9 * big, primes[5 * 256] * big):
+            taken.clear()
+            got = trial_factor(t, bound)
+            assert got == reference_trial_factor(t, bound), t
+            assert got[1] == big
+            assert taken == blocks, "the stop fired on an uncertified prime"
 
     def test_factored_is_frozen(self):
         assert factored(-720, 10) == (((2, 4), (3, 2), (5, 1)), 1)
