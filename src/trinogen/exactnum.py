@@ -343,8 +343,10 @@ Factorization = tuple[tuple[tuple[int, int], ...], int]
 
 # Factorizations keyed by (|t|, bound).  A report asks about the same few
 # integers several times (the discriminant, its stripped parts, gcd(a, b));
-# this keeps each to one trial division.
-FACTORIZATIONS = Memo(64)
+# this keeps each to one trial division.  A scan meets the same discriminant
+# again much later: for even n, disc(x^n + a*x + b) = disc(x^n - a*x + b), and
+# the row (-a, b) comes up to about 1000 rows after (a, b).
+FACTORIZATIONS = Memo(256)
 
 
 def factored(t: int, bound: int) -> Factorization:

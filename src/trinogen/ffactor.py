@@ -192,10 +192,20 @@ def _factor(f: FqPoly, seed: int) -> FqFactorization:
     rng = random.Random(seed)
     work = f.monic()
     found: list[tuple[FqPoly, int]] = []
-    for part, mult in _squarefree_parts(work):
-        for bunch, d in _distinct_degree(part):
-            for irr in _equal_degree(bunch, d, rng):
-                found.append((irr, mult))
+    # Mod a prime dividing b, a trinomial is x^m * (x^(n-m) + a) or x^n, and
+    # the squarefree loop would run once per power of x.  x is monic and
+    # irreducible and does not divide what is left, so it is split off here.
+    v = 0
+    while work.coeffs[v] == field.zero:
+        v += 1
+    if v:
+        found.append((field.poly([0, 1]), v))
+        work = FqPoly(field, work.coeffs[v:])
+    if work.degree > 0:
+        for part, mult in _squarefree_parts(work):
+            for bunch, d in _distinct_degree(part):
+                for irr in _equal_degree(bunch, d, rng):
+                    found.append((irr, mult))
     found.sort(key=lambda gm: gm[0].sort_key())
     result = FqFactorization(field=field, unit=unit, factors=tuple(found))
     if result.product() != f:  # internal consistency guard

@@ -161,8 +161,8 @@ def squarefree_status(t: int, bound: int | None = None) -> SquarefreeStatus:
 
     Trial division up to ``bound`` (default 10**6, overridable up to 10**7
     via the TRINOGEN_SF_BOUND environment variable; the factorization is
-    shared through ``exactnum.factored``), then a perfect-power check and
-    a primality test on the cofactor.  SquareFree is returned only when the
+    shared through ``exactnum.factored``), then a primality test and a
+    perfect-power check on the cofactor.  SquareFree is returned only when the
     factorization into distinct primes is fully certified; a probable prime
     above the deterministic-test range yields Unknown, as does an
     unfactored composite cofactor.
@@ -176,10 +176,10 @@ def squarefree_status(t: int, bound: int | None = None) -> SquarefreeStatus:
         return SquarefreeStatus.NOT_SQUARE_FREE
     if cofactor == 1:
         return SquarefreeStatus.SQUARE_FREE
+    if is_certified_prime(cofactor):  # a prime is never a perfect power
+        return SquarefreeStatus.SQUARE_FREE
     if perfect_power(cofactor) is not None:
         return SquarefreeStatus.NOT_SQUARE_FREE
-    if is_certified_prime(cofactor):
-        return SquarefreeStatus.SQUARE_FREE
     return SquarefreeStatus.UNKNOWN
 
 

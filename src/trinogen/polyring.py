@@ -359,16 +359,26 @@ def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
         raise ValueError("cannot develop the zero polynomial")
     if p < 2:
         raise ValueError("p must be >= 2")
-    count = f.degree // phi.degree + 1
-    terms = []
-    q = f
-    for _ in range(count):
-        q, rem = q.divrem(phi)
-        terms.append(rem)
-    if not q.is_zero():  # pragma: no cover - impossible by degree count
-        raise ArithmeticError("development did not terminate")
+    d = phi.degree
+    count = f.degree // d + 1
+    # Repeated division by phi, in place: dividing the polynomial held in
+    # q[base:] leaves the remainder in q[base:base + d] and the quotient in
+    # q[base + d:], which the next round divides.  Only the nonzero lower
+    # coefficients of phi are subtracted; phi = x^d has none, and then the
+    # coefficients of f already are the development.
+    low = [(j, c) for j, c in enumerate(phi.coeffs[:d]) if c]
+    q = list(f.coeffs)
+    if low:
+        for base in range(0, (count - 1) * d, d):
+            for i in range(len(q) - 1, base + d - 1, -1):
+                c = q[i]
+                if c:
+                    k = i - d
+                    for j, pc in low:
+                        q[k + j] -= c * pc
+    terms = tuple(PolyZ(q[base : base + d]) for base in range(0, count * d, d))
     vals = tuple(term_valuation(p, a) for a in terms)
-    return PhiDevelopment(phi=phi, p=p, terms=tuple(terms), vals=vals)
+    return PhiDevelopment(phi=phi, p=p, terms=terms, vals=vals)
 
 
 # -- finite fields -------------------------------------------------------------
@@ -804,7 +814,8 @@ class FqPoly:
         if fld.deg == 1:
             q, r = _digits_divmod(self.coeffs, den.coeffs, fld.p)
             return FqPoly(fld, q), FqPoly(fld, r)
-        inv_lead = fld.inv(den.leading)
+        # Every modulus in the splitting stages is monic: no inverse needed.
+        inv_lead = fld.one if den.leading == fld.one else fld.inv(den.leading)
         rem = list(self.coeffs)
         dd = den.degree
         if len(rem) < dd + 1:

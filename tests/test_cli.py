@@ -597,6 +597,26 @@ def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
     assert max(computed.values()) > 1
 
 
+def test_scan_divides_each_integer_once(capsys, tmp_path, monkeypatch):
+    # For even n, disc(x^n + a*x + b) = disc(x^n - a*x + b), and the row
+    # (-a, b) comes up to 33 * 32 rows after the row (a, b), so the integer
+    # memo must still hold the discriminant then.
+    divided = Counter()
+    trial_factor = exactnum.trial_factor
+
+    def counting_trial_factor(t, bound):
+        divided[abs(t), bound] += 1
+        return trial_factor(t, bound)
+
+    monkeypatch.setattr(exactnum, "trial_factor", counting_trial_factor)
+    out = tmp_path / "rows.jsonl"
+    code = main(["scan", "--r-range", "3:3", "--a-range", "-16:16", "--b-range", "-16:16",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert len(out.read_text().splitlines()) == 33 * 33
+    assert divided and [key for key, count in divided.items() if count > 1] == []
+
+
 def test_main_empties_every_memo(capsys):
     memos = []
     for info in pkgutil.iter_modules(trinogen.__path__):
@@ -647,17 +667,17 @@ def test_cold_analyze_builds_no_sieve_and_loads_no_pool():
     assert proc.stdout == f"{EXIT_OK} 0 0 False\n"
 
 
-# A discriminant that outlives the first block, five whose cofactor is a
-# prime above the squarefree bound's square (so perfect_power runs on 51- to
-# 80-bit integers and no sieve is needed), then one more that needs the sieve.
+# Seven discriminants whose cofactors are composites above the squarefree
+# bound's square, of seven bit lengths (44 to 87), so each report divides by
+# every block of primes and then runs perfect_power on the cofactor.
 SIEVE_BATCH = [
-    (4, 2531829, 6625039),
-    (4, 832970, 3710137),
-    (4, 658788, 1303255),
-    (3, 1965541, 8283794),
-    (4, 8331000, 1352929),
-    (3, 7537114, 6739472),
-    (5, 811111, 1216279),
+    (4, 4278410, 969953),
+    (3, 7563104, 2225660),
+    (3, 129777, 189139),
+    (4, 1192863, 5667594),
+    (5, 5768968, 1207672),
+    (4, 6061806, 5234906),
+    (4, 5398129, 3199980),
 ]
 
 

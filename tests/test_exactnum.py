@@ -465,6 +465,21 @@ class TestIrootPerfectPower:
         for t in (2, 3, 5, 6, 7, 10, 12, 100000007):
             assert perfect_power(t) is None
 
+    def test_perfect_power_builds_no_sieve(self, monkeypatch):
+        # The exponents of an integer of up to 1619 bits come from the first
+        # block of primes, so perfect_power takes no slot of the primes_below
+        # cache, where integers of many bit lengths would evict the sieve.
+        inputs = [3**k * 7 + j for k in (1, 27, 39, 54, 300, 1015) for j in (0, 1)]
+        inputs += [2**1618, 5**697, 10**60 * 3]
+        expected = [perfect_power(t) for t in inputs]
+
+        def no_sieve(bound):
+            raise AssertionError(f"primes_below({bound}) called")
+
+        monkeypatch.setattr(exactnum, "primes_below", no_sieve)
+        assert [perfect_power(t) for t in inputs] == expected
+        assert expected[-3:] == [(2, 1618), (5, 697), None]
+
     def test_perfect_power_random(self, rng):
         for _ in range(100):
             base = rng.randint(2, 500)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from trinogen import ffactor
 from trinogen.ffactor import factor, is_irreducible, is_separable
@@ -230,3 +232,82 @@ class TestFactor:
                     prod = prod * g
         fact = factor(prod)
         assert {tuple(g.coeffs): m for g, m in fact.factors} == expected
+
+
+def gf_factor_oracle(f):
+    """sympy's factorization of a prime-field FqPoly, in ascending coefficients."""
+    p = f.field.p
+    lc, factors = gf_factor([ZZ(c) for c in reversed(f.coeffs)], p, ZZ)
+    return int(lc), sorted((tuple(int(c) for c in reversed(g)), m) for g, m in factors)
+
+
+class TestPowerOfX:
+    """factor splits off x^v before the squarefree loop; results are unchanged."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+    def test_matches_sympy_on_x_power_times_g(self, p):
+        field = get_field(p)
+        rng = random.Random(4242 + p)
+        x = field.poly([0, 1])
+        for v in range(1, 41):
+            g = random_fq_poly(field, rng, max_deg=10)
+            f = x**v * g
+            fact = factor(f)
+            lc, expected = gf_factor_oracle(f)
+            assert fact.unit == lc
+            assert sorted((h.coeffs, m) for h, m in fact.factors) == expected
+            assert fact.product() == f
+
+    def test_x_power_alone(self):
+        for p, n in ((2, 27), (3, 1), (5, 64)):
+            field = get_field(p)
+            fact = factor(field.poly([0] * n + [1]))
+            assert fact.unit == 1
+            assert [(g.coeffs, m) for g, m in fact.factors] == [((0, 1), n)]
+
+    def test_leading_coefficient_kept(self):
+        F5 = get_field(5)
+        f = (F5.poly([0, 1]) ** 4 * F5.poly([1, 1]) ** 2).cmul(3)
+        fact = factor(f)
+        assert fact.unit == 3
+        assert [(g.coeffs, m) for g, m in fact.factors] == [((0, 1), 4), ((1, 1), 2)]
+        assert fact.product() == f
+
+    def test_cofactor_is_a_pth_power(self):
+        F3 = get_field(3)
+        f = F3.poly([0, 1]) ** 3 * F3.poly([1, 1]) ** 9
+        fact = factor(f)
+        assert [(g.coeffs, m) for g, m in fact.factors] == [((0, 1), 3), ((1, 1), 9)]
+        assert gf_factor_oracle(f) == (1, [((0, 1), 3), ((1, 1), 9)])
+
+    def test_extension_field(self):
+        F9 = get_field(3, (1, 0, 1))
+        t = F9.elem([0, 1])
+        g = F9.poly([t, F9.one, F9.one]) * F9.poly([F9.one, t]) ** 3
+        f = F9.poly([F9.zero] * 5 + [F9.one]) * g.cmul(t)
+        fact = factor(f)
+        assert fact.product() == f
+        assert fact.unit == f.leading
+        assert all(is_irreducible(h) and h.is_monic() for h, _ in fact.factors)
+        assert (F9.poly([0, 1]), 5) in fact.factors
+        assert sum(h.degree * m for h, m in fact.factors) == f.degree
+
+    def test_squarefree_loop_never_sees_x(self, monkeypatch):
+        seen = []
+        real = ffactor._squarefree_parts
+
+        def spy(f):
+            seen.append(f)
+            return real(f)
+
+        monkeypatch.setattr(ffactor, "_squarefree_parts", spy)
+        ffactor.FACTORIZATIONS.clear()
+        rng = random.Random(77)
+        for p, modulus in FIELDS:
+            field = get_field(p, modulus)
+            x = field.poly([0, 1])
+            for v in (1, 2, 9, 27):
+                f = x**v * random_fq_poly(field, rng) ** rng.randint(1, p + 1)
+                assert factor(f).product() == f
+        assert seen
+        assert all(f[0] != f.field.zero for f in seen)

@@ -12,6 +12,7 @@ import math
 import pytest
 import sympy
 
+from trinogen import monogenity
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.monogenity import (
     DISC_FORMULA,
@@ -175,6 +176,25 @@ class TestSquarefreeStatus:
     def test_certified_prime_cofactor_past_bound(self):
         # 1273609 is prime and small enough for the deterministic test.
         assert squarefree_status(1273609, bound=100) is SquarefreeStatus.SQUARE_FREE
+
+    def test_certified_prime_cofactor_needs_no_perfect_power(self, monkeypatch):
+        def no_perfect_power(t):
+            raise AssertionError(f"perfect_power({t}) called on a certified prime")
+
+        monkeypatch.setattr(monogenity, "perfect_power", no_perfect_power)
+        assert squarefree_status(1273609, bound=100) is SquarefreeStatus.SQUARE_FREE
+
+    @pytest.mark.parametrize(
+        "t,expected",
+        [
+            (1273609, SquarefreeStatus.SQUARE_FREE),  # a certified prime
+            (1273609**2, SquarefreeStatus.NOT_SQUARE_FREE),  # its square
+            (1009 * 1013, SquarefreeStatus.UNKNOWN),  # two primes above the bound
+            (2**89 - 1, SquarefreeStatus.UNKNOWN),  # prime above MR_CERTIFIED_BOUND
+        ],
+    )
+    def test_cofactor_statuses(self, t, expected):
+        assert squarefree_status(t, bound=100) is expected
 
     def test_uncertifiable_prime_is_unknown(self):
         # 2^89 - 1 is prime but beyond the deterministic-certificate range,

@@ -227,7 +227,60 @@ class TestPowerSumsCharpoly:
         assert power_charpoly(PolyZ([-2, 0, 1]), 2) == PolyZ([4, -4, 1])
 
 
+def reference_phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
+    """The development by repeated ``PolyZ.divrem``, one new polynomial a round."""
+    terms = []
+    q = f
+    for _ in range(f.degree // phi.degree + 1):
+        q, rem = q.divrem(phi)
+        terms.append(rem)
+    assert q.is_zero()
+    vals = tuple(term_valuation(p, a) for a in terms)
+    return PhiDevelopment(phi=phi, p=p, terms=tuple(terms), vals=vals)
+
+
+def sparse_monic(rng, deg: int, span: int) -> PolyZ:
+    """Monic of degree deg with about half its lower coefficients zero."""
+    return PolyZ([rng.randint(-span, span) if rng.random() < 0.5 else 0 for _ in range(deg)] + [1])
+
+
 class TestPhiExpand:
+    def test_matches_repeated_divrem(self):
+        rng = random.Random(2024)
+        for case in range(600):
+            d = rng.randint(1, 6)
+            kind = case % 4
+            if kind == 0:
+                phi = PolyZ([0] * d + [1])  # x^d, x itself for d = 1
+            elif kind == 1:
+                phi = sparse_monic(rng, d, 9)
+            else:
+                phi = random_monic_polyz(rng, d, span=9)
+            span = 2**210 if case % 5 == 0 else 40
+            f = random_polyz(rng, max_deg=rng.choice((d - 1, 3 * d, 40)), span=span)
+            p = rng.choice((2, 3, 5, 7, 257))
+            dev = phi_expand(f, phi, p)
+            assert dev == reference_phi_expand(f, phi, p)
+            total = PolyZ()
+            for i, term in enumerate(dev.terms):
+                total = total + term * phi**i
+            assert total == f
+
+    def test_edge_shapes(self):
+        big = 3**200 + 1
+        cases = [
+            (PolyZ([5, -big, 0, 7]), PolyZ([0, 1])),  # phi = x, non-monic f
+            (PolyZ([1, 2]), PolyZ([3, 0, 0, 1])),  # deg f < deg phi
+            (PolyZ([big, 0, 0, 0, 0, 0, 0, 0, 0, 2 * big]), PolyZ([1, 0, 0, 1])),
+            (PolyZ([1] * 13), PolyZ([0, 0, 0, 0, 1])),  # phi = x^4
+        ]
+        for f, phi in cases:
+            assert phi_expand(f, phi, 3) == reference_phi_expand(f, phi, 3)
+        assert phi_expand(PolyZ([1, 2]), PolyZ([3, 0, 0, 1]), 2).terms == (PolyZ([1, 2]),)
+        assert phi_expand(PolyZ([5, -big, 0, 7]), PolyZ([0, 1]), 3).terms == tuple(
+            PolyZ([c]) for c in (5, -big, 0, 7)
+        )
+
     def test_reconstruction_and_shape(self, rng):
         for _ in range(150):
             F = random_monic_polyz(rng, rng.randint(1, 10), span=20)
@@ -348,6 +401,20 @@ class TestFqPoly:
             q, r = num.divrem(den)
             assert q * den + r == num
             assert r.is_zero() or r.degree < den.degree
+
+    def test_monic_divisor_needs_no_inverse(self, monkeypatch):
+        F9 = get_field(3, (1, 0, 1))
+        t = F9.elem([0, 1])
+        num = F9.poly([t, F9.one, F9.zero, t, F9.one, t])
+        monic = F9.poly([F9.one, t, F9.one])
+        other = monic.cmul(t)
+        calls = []
+        real = FqField.inv
+        monkeypatch.setattr(FqField, "inv", lambda fld, a: calls.append(a) or real(fld, a))
+        for den in (monic, other):
+            q, r = num.divrem(den)
+            assert q * den + r == num and r.degree < den.degree
+        assert calls == [other.leading]
 
     def test_gcd_monic_and_divides(self, rng):
         F = get_field(2)
