@@ -440,15 +440,6 @@ def check_congruence_obstruction(r: int, a: int, b: int) -> CongruenceWitness | 
     return None
 
 
-def check_pure_field_obstruction(r: int, b: int) -> bool:
-    """Pure-field form of the congruence screen: x**(2**r) + b with b = -m.
-
-    True iff r >= 4 and b = -1 (mod 32), which is exactly the (0, 31)
-    pattern of the mod-32 case with a = 0.
-    """
-    return r >= 4 and b % 32 == 31
-
-
 # -- common index divisors ---------------------------------------------------------
 
 

@@ -8,6 +8,10 @@ data determines the complete splitting of p: one prime ideal per
 irreducible factor of each residual polynomial, with ramification index e
 from the side's slope and residue degree deg(phi) * deg(residual factor).
 
+The polygons alone give the bound (Ore's theorem of the index); the
+residual polynomials decide whether it is exact and how p splits.
+``polygon_index`` computes only the former.
+
 Results are canonical: factors of F mod p arrive in the factorization
 module's sort order, sides in slope order, residual factors again in sort
 order, so repeated runs produce identical output.
@@ -78,10 +82,22 @@ class OreFactorization:
     evidence: tuple[PhiData, ...]
 
 
-def _analyze_factor(F: PolyZ, p: int, phibar, multiplicity: int) -> PhiData:
+def _factors_mod_p(F: PolyZ, p: int):
+    """The (factor, multiplicity) pairs of F mod p, after factor_p's checks."""
+    if not F.is_monic() or F.degree < 1:
+        raise MalformedInput("factor_p requires a monic polynomial of degree >= 1")
+    if not is_probable_prime(p):
+        raise MalformedInput(f"modulus {p} is not prime")
+    fbar = reduce_mod(F, p)
+    if fbar.is_zero():  # pragma: no cover - impossible for monic F
+        raise MalformedInput("polynomial vanishes mod p")
+    return ffactor.factor(fbar).factors
+
+
+def _polygon_stage(F: PolyZ, p: int, phibar, multiplicity: int):
+    """(phi, phi-adic development, principal polygon, polygon index) for a
+    factor phibar of F mod p of multiplicity above 1."""
     phi = newton.lift_balanced(phibar)
-    if multiplicity == 1:
-        return PhiData(phi=phi, multiplicity=1, index=0, polygon=None, sides=())
     dev = phi_expand(F, phi, p)
     if dev.vals[0] is INFINITY:
         # F = phi * (...) exactly over Z, so F is reducible and the caller
@@ -90,6 +106,15 @@ def _analyze_factor(F: PolyZ, p: int, phibar, multiplicity: int) -> PhiData:
     polygon = newton.principal_polygon(newton.point_cloud(dev), phi=phi, p=p)
     if polygon.length != multiplicity:  # pragma: no cover - internal cross-check
         raise ArithmeticError("polygon length disagrees with mod-p multiplicity")
+    return phi, dev, polygon, newton.phi_index(polygon, phi.degree)
+
+
+def _analyze_factor(F: PolyZ, p: int, phibar, multiplicity: int) -> PhiData:
+    if multiplicity == 1:
+        phi = newton.lift_balanced(phibar)
+        return PhiData(phi=phi, multiplicity=1, index=0, polygon=None, sides=())
+    phi, dev, polygon, ind = _polygon_stage(F, p, phibar, multiplicity)
+    # The residual stage: each side's residual polynomial and its factors.
     sides = []
     for j in range(len(polygon.sides)):
         res = newton.residual_poly(dev, polygon, j)
@@ -102,7 +127,6 @@ def _analyze_factor(F: PolyZ, p: int, phibar, multiplicity: int) -> PhiData:
                 factorization=ffactor.factor(poly),
             )
         )
-    ind = newton.phi_index(polygon, phi.degree)
     return PhiData(
         phi=phi, multiplicity=multiplicity, index=ind, polygon=polygon, sides=tuple(sides)
     )
@@ -114,17 +138,7 @@ def factor_p(F: PolyZ, p: int) -> OreFactorization:
     The caller is responsible for irreducibility of F over Q; the shape
     data is meaningful only under that hypothesis.
     """
-    if not F.is_monic() or F.degree < 1:
-        raise MalformedInput("factor_p requires a monic polynomial of degree >= 1")
-    if not is_probable_prime(p):
-        raise MalformedInput(f"modulus {p} is not prime")
-    fbar = reduce_mod(F, p)
-    if fbar.is_zero():  # pragma: no cover - impossible for monic F
-        raise MalformedInput("polynomial vanishes mod p")
-    data = [
-        _analyze_factor(F, p, phibar, mult)
-        for phibar, mult in ffactor.factor(fbar).factors
-    ]
+    data = [_analyze_factor(F, p, phibar, mult) for phibar, mult in _factors_mod_p(F, p)]
     regular = all(sd.separable for pd in data for sd in pd.sides)
     bound = sum(pd.index for pd in data)
     factors: list[PrimeIdealFactor] = []
@@ -188,3 +202,23 @@ def index_bound(F: PolyZ, p: int) -> tuple[int, bool]:
     """
     result = shared_factor_p(F, p)
     return result.index_lower_bound, result.regular
+
+
+def polygon_index(F: PolyZ, p: int) -> int:
+    """``factor_p(F, p).index_lower_bound``, read from the polygons alone.
+
+    This is Ore's sum of ind_phi(F) over the factors phi of F mod p.  A
+    splitting already in SPLITTINGS is read, or its ``MalformedInput``
+    raised again; otherwise no residual polynomial is built and nothing is
+    stored.  Raises the ``MalformedInput`` that ``factor_p`` would raise.
+    """
+    hit = SPLITTINGS.get((F, p))
+    if isinstance(hit, str):
+        raise MalformedInput(hit)
+    if hit is not None:
+        return hit.index_lower_bound
+    return sum(
+        _polygon_stage(F, p, phibar, mult)[3]
+        for phibar, mult in _factors_mod_p(F, p)
+        if mult > 1
+    )

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import trinogen
-from trinogen import cli, exactnum, ffactor, monogenity, ore
+from trinogen import cli, exactnum, ffactor, monogenity, newton, ore
 from trinogen.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
@@ -481,6 +481,17 @@ class TestScan:
         assert "cannot open" in err
         assert recording_pools == [], "a pool was started for an output that cannot be opened"
 
+    def test_jobs_above_cap_starts_no_pool(self, capsys, tmp_path, recording_pools):
+        out = tmp_path / "rows.jsonl"
+        jobs = cli.MAX_JOBS + 1
+        code = main(["scan", "--r-range", "3:3", "--a-range", "8:8", "--b-range", "8:8",
+                     "--jobs", str(jobs), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"error: --jobs must be between 1 and {cli.MAX_JOBS}, got {jobs}\n"
+        assert not out.exists()
+        assert recording_pools == []
+
     def test_pool_window_is_bounded(self, capsys, tmp_path, recording_pools):
         box = ("--a-range", "7:18")  # 132 rows, 17 chunks
         serial = mask_runtime(scan_rows(capsys, tmp_path, *box))
@@ -615,6 +626,42 @@ def test_scan_divides_each_integer_once(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 33 * 33
     assert divided and [key for key, count in divided.items() if count > 1] == []
+
+
+# The box the ROADMAP baseline scans.
+ROADMAP_BOX = ("--r-range", "3:4", "--a-range", "-16:16", "--b-range", "-16:16")
+
+
+def test_skipped_rows_build_no_residual_polynomials(monkeypatch):
+    built = Counter()
+    for module, name in ((newton, "residual_poly"), (ffactor, "is_separable")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            built[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    kinds = Counter()
+    for r in (3, 4):
+        for a in range(-16, 17):
+            for b in range(-16, 17):
+                before = built.total()
+                kind = cli._scan_row((r, 1, a, b))["kind"]
+                kinds[kind] += 1
+                if kind == "skipped":
+                    assert built.total() == before, (r, a, b)
+    # The other rows still analyse their splittings, through the same spies.
+    assert kinds["skipped"] > 1000 and built["residual_poly"] and built["is_separable"]
+
+
+@pytest.mark.parametrize("box", [ROADMAP_BOX, ("--m", "3", "--a-range", "-8:8",
+                                               "--b-range", "-8:8")])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_index_column_matches_full_analysis(capsys, tmp_path, monkeypatch, box, jobs):
+    rows = mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs))
+    assert any(row["index_lower_bound_2"] not in (None, "0") for row in rows)
+    monkeypatch.setattr(ore, "polygon_index",
+                        lambda F, p: ore.factor_p(F, p).index_lower_bound)
+    assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == rows
 
 
 def test_main_empties_every_memo(capsys):

@@ -26,7 +26,6 @@ from trinogen.monogenity import (
     check_alpha_generator,
     check_alpha_generator_pow2,
     check_congruence_obstruction,
-    check_pure_field_obstruction,
     common_index_divisor,
     disc_trinomial,
     irreducibility_certificate,
@@ -463,23 +462,6 @@ class TestCongruenceObstruction:
                     assert not any(fired.values()), (a, b)
                 else:
                     assert fired[w.case], (a, b)
-
-
-class TestPureFieldObstruction:
-    def test_known_cases(self):
-        assert check_pure_field_obstruction(4, 31)
-        assert check_pure_field_obstruction(6, -65)
-        assert not check_pure_field_obstruction(3, 31)
-        assert not check_pure_field_obstruction(4, 30)
-        assert not check_pure_field_obstruction(4, 15)
-
-    def test_agrees_with_general_screen_at_a_zero(self):
-        for r in (3, 4, 5, 6):
-            for b in range(-40, 41):
-                if b == 0:
-                    continue
-                general = check_congruence_obstruction(r, 0, b) is not None
-                assert check_pure_field_obstruction(r, b) == general, (r, b)
 
 
 # -- common index divisors ---------------------------------------------------------------

@@ -5,10 +5,11 @@ import random
 import pytest
 import sympy
 
+from trinogen import ffactor, newton, ore
 from trinogen.exactnum import valp
 from trinogen.newton import MalformedInput
-from trinogen.ore import OreFactorization, PhiData, factor_p, index_bound
-from trinogen.polyring import PolyZ, discriminant
+from trinogen.ore import OreFactorization, PhiData, factor_p, index_bound, polygon_index
+from trinogen.polyring import PolyZ, discriminant, reduce_mod
 
 
 def trinomial_polyz(n, m, a, b) -> PolyZ:
@@ -187,3 +188,99 @@ class TestIndexBound:
         fact = factor_p(F, 2)
         assert not fact.regular
         assert fact.factors == ()
+
+
+def _outcome(fn, F, p):
+    """fn(F, p), or the message of the MalformedInput it raised."""
+    try:
+        return fn(F, p)
+    except MalformedInput as exc:
+        return f"MalformedInput: {exc}"
+
+
+def _bound(F, p):
+    return factor_p(F, p).index_lower_bound
+
+
+class TestPolygonIndex:
+    """polygon_index(F, p) == factor_p(F, p).index_lower_bound, errors included."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_splittings(self):
+        ore.SPLITTINGS.clear()
+        yield
+        ore.SPLITTINGS.clear()
+
+    def test_agrees_on_trinomials(self):
+        rng = random.Random(314159)
+        nonzero = {p: 0 for p in (2, 3, 5, 7, 13)}
+        for i in range(80):
+            n = rng.randint(2, 48)
+            m = rng.randrange(1 + i % 2, n, 2) if n > 2 else 1  # odd and even m
+            for p in nonzero:
+                # Coefficients divisible by p make repeated factors mod p.
+                a = rng.randint(-6, 6) * p ** rng.randint(0, 3)
+                b = rng.choice((1, -1)) * rng.randint(1, 6) * p ** rng.randint(0, 2)
+                F = trinomial_polyz(n, m, a, b)
+                got = _outcome(polygon_index, F, p)
+                assert got == _outcome(_bound, F, p), (n, m, a, b, p)
+                nonzero[p] += isinstance(got, int) and got > 0
+        assert all(nonzero.values()), nonzero
+
+    def test_agrees_when_repeated_factors_have_degree_above_one(self):
+        # F = g^k + p*h with g irreducible mod p of degree 2 or 3, so g is
+        # a factor of F mod p with multiplicity k.
+        rng = random.Random(271)
+        cases = {
+            2: ([1, 1, 1], [1, 1, 0, 1]),
+            3: ([1, 0, 1], [-1, -1, 0, 1]),
+            5: ([2, 0, 1], [1, 1, 0, 1]),
+            7: ([1, 0, 1], [2, 0, 0, 1]),
+        }
+        seen = 0
+        for p, gs in cases.items():
+            for g in map(PolyZ, gs):
+                for k in (2, 3, 4):
+                    for _ in range(4):
+                        h = PolyZ([rng.randint(-9, 9) for _ in range(k * g.degree)])
+                        F = g**k + h.scale(p * rng.choice((1, p)))
+                        repeated = [
+                            f for f, e in ffactor.factor(reduce_mod(F, p)).factors if e > 1
+                        ]
+                        seen += any(f.degree >= 2 for f in repeated)
+                        assert _outcome(polygon_index, F, p) == _outcome(_bound, F, p), (
+                            F, p)
+        assert seen >= 40
+
+    def test_raises_what_factor_p_raises(self):
+        # x^n + a*x + b with 1 + a + b = 0 has the root 1; when n + a is even
+        # x + 1 is a repeated factor mod 2 and the polygon stage finds x - 1.
+        cases = [(trinomial_polyz(n, 1, a, -1 - a), 2)
+                 for n in (4, 8, 16) for a in range(-12, 13, 2)]
+        cases += [(trinomial_polyz(8, 2, 0, 0), 3),  # x^2 divides
+                  (PolyZ([1, 2]), 2), (PolyZ([5]), 2), (PolyZ([1, 0, 1]), 6)]
+        raised = 0
+        for F, p in cases:
+            got = _outcome(polygon_index, F, p)
+            assert got == _outcome(_bound, F, p), (F, p)
+            raised += isinstance(got, str)
+        assert raised == len(cases)
+
+    def test_stores_nothing(self):
+        F = trinomial_polyz(8, 1, 12, 3)
+        assert polygon_index(F, 2) == 5
+        assert ore.SPLITTINGS.get((F, 2)) is None
+
+    def test_reads_a_stored_splitting(self, monkeypatch):
+        good = trinomial_polyz(8, 1, 12, 3)
+        bad = trinomial_polyz(8, 1, 4, -5)  # x - 1 divides
+        assert ore.shared_factor_p(good, 2).index_lower_bound == 5
+        with pytest.raises(MalformedInput) as stored:
+            ore.shared_factor_p(bad, 2)
+        calls = []
+        monkeypatch.setattr(newton, "principal_polygon", lambda *a, **k: calls.append(a))
+        assert polygon_index(good, 2) == 5
+        with pytest.raises(MalformedInput) as again:
+            polygon_index(bad, 2)
+        assert str(again.value) == str(stored.value)
+        assert calls == []
