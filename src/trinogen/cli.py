@@ -14,9 +14,10 @@ memory stays bounded on a box of any size.
 
 Exit codes: 0 success, 1 verification mismatch (or stdout closed early),
 2 usage or input error, 3 irreducibility not certified (and
---assume-irreducible absent), 130 interrupted by Ctrl-C (SIGINT), 143
-stopped by SIGTERM.  An interrupted or stopped scan cancels its pending
-rows and waits for its workers before it exits.
+--assume-irreducible absent), 70 internal contradiction (a result the
+theory guarantees failed to verify: a bug), 130 interrupted by Ctrl-C
+(SIGINT), 143 stopped by SIGTERM.  An interrupted or stopped scan cancels
+its pending rows and waits for its workers before it exits.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNCERTIFIED = 3
+EXIT_INTERNAL = 70
 
 # The largest degree n accepted.  Past it, power_charpoly and the F_p
 # factoring grow slow (n = 65536 runs for over a minute), and from n = 2048
@@ -209,10 +211,10 @@ def _verdict_dict(v: monogenity.MonogenityVerdict) -> dict:
             "primes_with_f_d": str(v.cid_count),
             "available_irreducibles": str(v.cid_available),
         }
-    if v.index_bounds:
+    bounds = v.index_bounds
+    if bounds:
         out["index_bounds"] = [
-            {"p": str(e.p), "bound": str(e.bound), "exact": e.exact}
-            for e in v.index_bounds
+            {"p": str(e.p), "bound": str(e.bound), "exact": e.exact} for e in bounds
         ]
     return out
 
@@ -503,13 +505,24 @@ def _scan_row(item: tuple[int, int, int, int]) -> dict:
 
 
 # A pool worker computes rows in chunks of SCAN_CHUNK, and at most
-# POOL_WINDOW chunks per worker are submitted and not yet written.
-SCAN_CHUNK = 8
+# POOL_WINDOW chunks per worker are submitted and not yet written.  A chunk
+# costs a round trip through the parent's queue threads, so it holds enough
+# rows (about 5 ms of work on the ROADMAP box) that the workers stay busy
+# while the parent waits to be scheduled.
+SCAN_CHUNK = 64
 POOL_WINDOW = 4
 
 
-def _scan_chunk(items: list[tuple[int, int, int, int]]) -> list[dict]:
-    return [_scan_row(item) for item in items]
+def _row_line(row: dict, fmt: str) -> str:
+    if fmt == "csv":
+        return ",".join("" if row[c] is None else str(row[c]) for c in SCAN_COLUMNS) + "\n"
+    return json.dumps(row) + "\n"
+
+
+def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str) -> str:
+    """The output lines of ``items``' rows: a worker formats them, so the
+    parent only writes."""
+    return "".join(_row_line(_scan_row(item), fmt) for item in items)
 
 
 def _start_worker() -> None:
@@ -521,16 +534,17 @@ def _start_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_rows(pool, items, jobs: int):
-    """The rows of ``items`` in order, computed on ``pool`` through a window
-    of POOL_WINDOW chunks per worker, refilled as each chunk is taken."""
+def _pool_text(pool, items, jobs: int, fmt: str):
+    """The output of ``items``' rows in order, one chunk at a time, computed
+    on ``pool`` through a window of POOL_WINDOW chunks per worker, refilled
+    as each chunk is taken."""
     chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
-    window = deque(pool.submit(_scan_chunk, c) for c in islice(chunks, POOL_WINDOW * jobs))
+    window = deque(pool.submit(_scan_chunk, c, fmt) for c in islice(chunks, POOL_WINDOW * jobs))
     while window:
-        rows = window.popleft().result()
+        text = window.popleft().result()
         for chunk in islice(chunks, 1):
-            window.append(pool.submit(_scan_chunk, chunk))
-        yield from rows
+            window.append(pool.submit(_scan_chunk, chunk, fmt))
+        yield text
 
 
 def _add_scan_args(sp: argparse.ArgumentParser) -> None:
@@ -585,27 +599,19 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     pool = None
     try:
+        if args.format == "csv":
+            out.write(",".join(SCAN_COLUMNS) + "\n")
         if args.jobs == 1:
-            rows = map(_scan_row, items)
+            for item in items:
+                out.write(_row_line(_scan_row(item), args.format))
         else:
             # Imported here: it loads multiprocessing, which no other
             # command needs.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_start_worker)
-            rows = _pool_rows(pool, items, args.jobs)
-        if args.format == "csv":
-            out.write(",".join(SCAN_COLUMNS) + "\n")
-            for row in rows:
-                out.write(
-                    ",".join(
-                        "" if row[c] is None else str(row[c]) for c in SCAN_COLUMNS
-                    )
-                    + "\n"
-                )
-        else:
-            for row in rows:
-                out.write(json.dumps(row) + "\n")
+            for text in _pool_text(pool, items, args.jobs, args.format):
+                out.write(text)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -821,7 +827,9 @@ def entry() -> None:
     When the reader of stdout goes away (``trinogen analyze ... | head -1``),
     exit quietly with status 1 instead of printing a traceback.  Ctrl-C and
     SIGTERM unwind the command and exit quietly with 128 plus the signal
-    number: 130 and 143.
+    number: 130 and 143.  An ``InternalContradiction`` is a bug, not an
+    answer: it prints one line to stderr and exits with EXIT_INTERNAL.
+    ``main`` itself lets it propagate.
     """
     signal.signal(signal.SIGTERM, _interrupt)
     try:
@@ -830,6 +838,9 @@ def entry() -> None:
     except KeyboardInterrupt as exc:
         signum = exc.args[0] if exc.args else signal.SIGINT
         sys.exit(128 + signum)
+    except monogenity.InternalContradiction as exc:
+        print(f"error: internal contradiction: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INTERNAL)
     except BrokenPipeError:
         # Python flushes stdout again at exit; point it at devnull so that
         # flush cannot fail a second time (the recipe in the signal docs).

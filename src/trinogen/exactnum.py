@@ -343,9 +343,9 @@ Factorization = tuple[tuple[tuple[int, int], ...], int]
 
 # Factorizations keyed by (|t|, bound).  A report asks about the same few
 # integers several times (the discriminant, its stripped parts, gcd(a, b));
-# this keeps each to one trial division.  A scan meets the same discriminant
-# again much later: for even n, disc(x^n + a*x + b) = disc(x^n - a*x + b), and
-# the row (-a, b) comes up to about 1000 rows after (a, b).
+# this keeps each to one trial division.  A scan divides only gcd(a, b), which
+# takes few values on a box and recurs row after row, and the discriminants of
+# its alpha rows: 25 integers for r in 3..4 and |a|, |b| <= 16.
 FACTORIZATIONS = Memo(256)
 
 

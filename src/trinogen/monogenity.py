@@ -15,7 +15,9 @@ machine-checkable evidence:
 * ``PolyNotMonogenicFieldConditional``: same alpha construction, but the
   squarefree test on the stripped discriminant was inconclusive.
 * ``Inconclusive``: no criterion applied; exact polygon index bounds for
-  the small primes with nu_p(disc) >= 2 are attached as partial data.
+  the small primes with nu_p(disc) >= 2 are attached as partial data.  For
+  a certified-irreducible input they cannot change the verdict, so they are
+  computed when first read: a report reads them, a scan row does not.
 
 Everything is exact integer arithmetic; nothing is sampled or approximated.
 """
@@ -23,6 +25,7 @@ Everything is exact integer arithmetic; nothing is sampled or approximated.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -481,7 +484,14 @@ class IndexBoundEntry:
 
 @dataclass(frozen=True)
 class MonogenityVerdict:
-    """Typed outcome with every piece of evidence needed to re-check it."""
+    """Typed outcome with every piece of evidence needed to re-check it.
+
+    ``index_bounds`` is () except on an Inconclusive verdict that reached
+    the bound stage.  There it holds the exact polygon index bounds, taken
+    from ``computed_bounds`` when ``verdict`` already computed them, and
+    otherwise computed on first read and kept.  That read can raise
+    ``InternalContradiction``.
+    """
 
     trinomial: Trinomial
     kind: VerdictKind
@@ -497,7 +507,19 @@ class MonogenityVerdict:
     cid_count: int | None = None
     cid_available: int | None = None
     reason: str | None = None
-    index_bounds: tuple[IndexBoundEntry, ...] = ()
+    # None defers the bounds to the first read of index_bounds.
+    computed_bounds: tuple[IndexBoundEntry, ...] | None = ()
+
+    # A cached_property writes the instance __dict__ directly, so it works on
+    # this frozen dataclass.
+    @functools.cached_property
+    def index_bounds(self) -> tuple[IndexBoundEntry, ...]:
+        if self.computed_bounds is not None:
+            return self.computed_bounds
+        bounds, _ = _inconclusive_bounds(
+            self.trinomial, self.disc, certified=self.irreducibility is not None
+        )
+        return bounds
 
 
 def _inconclusive_bounds(
@@ -535,7 +557,11 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
     Congruence screens are confirmed by the polygon engine before any
     field-level claim; the alpha construction downgrades to a conditional
     verdict when the squarefree test is inconclusive; everything else
-    falls through to Inconclusive with partial index data attached.
+    falls through to Inconclusive with partial index data attached.  When
+    irreducibility is only assumed, the index bounds are computed here,
+    since a rational factor found on the way contradicts the assumption.
+    A certified input's bounds cannot change the verdict, so they are left
+    to the first read of ``index_bounds``.
     """
     disc = disc_trinomial(T)
     trail: list[str] = []
@@ -645,20 +671,22 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
             alpha=alpha,
         )
 
-    bounds, reducibility_proof = _inconclusive_bounds(T, disc, certified=irr is not None)
-    if reducibility_proof is not None:
-        trail.append("assumption-contradicted")
-        return MonogenityVerdict(
-            trinomial=T,
-            kind=VerdictKind.INCONCLUSIVE,
-            disc=disc,
-            irreducibility=None,
-            irreducibility_assumed=True,
-            trail=tuple(trail),
-            reason="irreducibility was assumed but could not hold: "
-            + reducibility_proof,
-            index_bounds=bounds,
-        )
+    bounds = None
+    if irr is None:
+        bounds, reducibility_proof = _inconclusive_bounds(T, disc, certified=False)
+        if reducibility_proof is not None:
+            trail.append("assumption-contradicted")
+            return MonogenityVerdict(
+                trinomial=T,
+                kind=VerdictKind.INCONCLUSIVE,
+                disc=disc,
+                irreducibility=None,
+                irreducibility_assumed=True,
+                trail=tuple(trail),
+                reason="irreducibility was assumed but could not hold: "
+                + reducibility_proof,
+                computed_bounds=bounds,
+            )
     trail.append("no-criterion-applied")
     return MonogenityVerdict(
         trinomial=T,
@@ -668,7 +696,7 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
         irreducibility_assumed=assume_irreducible and irr is None,
         trail=tuple(trail),
         reason="no implemented criterion covers this trinomial",
-        index_bounds=bounds,
+        computed_bounds=bounds,
     )
 
 

@@ -173,8 +173,8 @@ def factor_p(F: PolyZ, p: int) -> OreFactorization:
 
 
 # factor_p results keyed by (F, p), or the message of the MalformedInput it
-# raised.  The verdict, the report's evidence and a scan row's index column
-# all ask for the same analysis.
+# raised.  The verdict's screen confirmation, the report's evidence and the
+# report's index bounds all ask for the same analysis.
 SPLITTINGS = Memo(16)
 
 

@@ -9,6 +9,7 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 """
 
 import concurrent.futures
+import dataclasses
 import functools
 import importlib
 import json
@@ -28,6 +29,7 @@ import pytest
 import trinogen
 from trinogen import cli, exactnum, ffactor, monogenity, newton, ore
 from trinogen.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
@@ -39,7 +41,8 @@ from trinogen.cli import (
     main,
     render_text,
 )
-from trinogen.monogenity import Trinomial, verdict
+from trinogen.monogenity import InternalContradiction, Trinomial, verdict
+from trinogen.newton import MalformedInput
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +402,19 @@ class TestScan:
         assert zero_b["b"] == "0" and zero_b["kind"] == "skipped"
         assert zero_b["witness_p"] == ""  # nulls are empty CSV cells
 
+    def test_csv_format_on_a_pool(self, capsys, tmp_path):
+        def csv_lines(*extra):
+            out = tmp_path / "rows.csv"
+            code = main(["scan", "--r-range", "3:3", "--a-range", "7:12", "--b-range", "-2:8",
+                         "--format", "csv", "--out", str(out), *extra])
+            assert code == EXIT_OK
+            # runtime_micros is the last column
+            return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+
+        serial = csv_lines()
+        assert len(serial) == 1 + 66 > cli.SCAN_CHUNK  # the pool takes two chunks
+        assert csv_lines("--jobs", "2") == serial
+
     def test_stdout_output(self, capsys):
         code = main(
             [
@@ -493,7 +509,7 @@ class TestScan:
         assert recording_pools == []
 
     def test_pool_window_is_bounded(self, capsys, tmp_path, recording_pools):
-        box = ("--a-range", "7:18")  # 132 rows, 17 chunks
+        box = ("--a-range", "7:58")  # 572 rows, 9 chunks
         serial = mask_runtime(scan_rows(capsys, tmp_path, *box))
         parallel = mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", "2"))
         assert parallel == serial
@@ -609,9 +625,10 @@ def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
 
 
 def test_scan_divides_each_integer_once(capsys, tmp_path, monkeypatch):
-    # For even n, disc(x^n + a*x + b) = disc(x^n - a*x + b), and the row
-    # (-a, b) comes up to 33 * 32 rows after the row (a, b), so the integer
-    # memo must still hold the discriminant then.
+    # A scan divides gcd(a, b), which recurs on many rows, and the
+    # discriminant of each alpha row.  For even n, disc(x^n + a*x + b) =
+    # disc(x^n - a*x + b), and the row (-a, b) comes up to 33 * 32 rows after
+    # the row (a, b), so the integer memo must still hold it then.
     divided = Counter()
     trial_factor = exactnum.trial_factor
 
@@ -662,6 +679,117 @@ def test_index_column_matches_full_analysis(capsys, tmp_path, monkeypatch, box, 
     monkeypatch.setattr(ore, "polygon_index",
                         lambda F, p: ore.factor_p(F, p).index_lower_bound)
     assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == rows
+
+
+# A box with m = 3, whose trinomials are not of the paper's m = 1 family.
+M3_BOX = ("--m", "3", "--a-range", "-8:8", "--b-range", "-8:8")
+
+
+def test_scan_rows_compute_no_index_bounds(monkeypatch):
+    ore.SPLITTINGS.clear()  # so the rows that need a splitting build it here
+    calls = Counter()
+    for module, name in ((monogenity, "_inconclusive_bounds"), (ore, "index_bound"),
+                         (newton, "residual_poly")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    items = [(r, 1, a, b) for r in (3, 4) for a in range(-16, 17) for b in range(-16, 17)]
+    items += [(3, 3, a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    kinds = Counter()
+    for item in items:
+        before = calls["residual_poly"]
+        kind = cli._scan_row(item)["kind"]
+        kinds[kind] += 1
+        if kind == "Inconclusive":
+            assert calls["residual_poly"] == before, item
+    assert calls["_inconclusive_bounds"] == calls["index_bound"] == 0
+    # The common-index-divisor rows still build their splittings at 2.
+    assert kinds["Inconclusive"] >= 540 and kinds["FieldNotMonogenic"]
+    assert calls["residual_poly"]
+
+
+@pytest.mark.parametrize("box", [ROADMAP_BOX, M3_BOX])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_rows_match_rows_with_bounds_forced(capsys, tmp_path, monkeypatch, box, jobs):
+    def forcing_verdict(T, _real=cli.verdict):
+        v = _real(T)
+        v.index_bounds  # what every Inconclusive row computed when bounds were eager
+        return v
+
+    monkeypatch.setattr(cli, "verdict", forcing_verdict)
+    forced = mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs))
+    monkeypatch.undo()
+
+    # Pool workers are forked from this process, so they raise here too.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan row computed index bounds")
+
+    monkeypatch.setattr(monogenity, "_inconclusive_bounds", forbidden)
+    monkeypatch.setattr(ore, "index_bound", forbidden)
+    assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == forced
+
+
+def certified_inconclusive(rng, degrees, coprime_m, count=6):
+    """``count`` seeded certified-irreducible trinomials that no criterion
+    covers, each with its verdict."""
+    found = []
+    while len(found) < count:
+        n = rng.choice(degrees)
+        m = rng.choice([m for m in range(1, n) if not coprime_m or math.gcd(m, n) == 1])
+        p = rng.choice((2, 3, 5, 7))
+        a, b = p * rng.randint(-30, 30), p * rng.choice((-1, 1)) * rng.randint(1, 30)
+        T = Trinomial(n, m, a, b)
+        try:
+            v = verdict(T)
+        except InternalContradiction:  # a screen's irregular prime, not this test's subject
+            continue
+        if v.irreducibility is not None and v.trail[-1] == "no-criterion-applied":
+            found.append((T, v))
+    return found
+
+
+@pytest.mark.parametrize("degrees, coprime_m", [(range(2, 17), False), (range(16, 49), True)])
+def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
+    reported = 0
+    for T, v in certified_inconclusive(rng, degrees, coprime_m):
+        # The verdict left the bounds to the report.
+        assert v.computed_bounds is None and "index_bounds" not in vars(v)
+        lazy = build_report(T, v)
+        bounds, proof = monogenity._inconclusive_bounds(T, v.disc, certified=True)
+        assert proof is None
+        eager = build_report(T, dataclasses.replace(v, computed_bounds=bounds))
+        assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)
+        assert render_text(lazy) == render_text(eager)
+        reported += "index_bounds" in lazy["verdict"]
+    assert reported
+
+
+def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch):
+    # Eisenstein at 2, and 3^2 divides the discriminant, so 3 is an evidence prime.
+    T = Trinomial(8, 1, -16, 10)
+    v = verdict(T)
+    assert v.irreducibility is not None and v.trail[-1] == "no-criterion-applied"
+    assert 3 in {e.p for e in v.index_bounds}
+    row = mask_runtime([cli._scan_row((3, 1, -16, 10))])
+    ore.SPLITTINGS.clear()
+    shared_factor_p = ore.shared_factor_p
+
+    def planted(F, p):
+        if p == 3:
+            raise MalformedInput("planted rational factor")
+        return shared_factor_p(F, p)
+
+    monkeypatch.setattr(ore, "shared_factor_p", planted)
+    assert mask_runtime([cli._scan_row((3, 1, -16, 10))]) == row
+    v = verdict(T)
+    with pytest.raises(InternalContradiction, match="planted rational factor"):
+        build_report(T, v)
+    # main lets it propagate; only the console entry point turns it into an exit code.
+    with pytest.raises(InternalContradiction, match="planted rational factor"):
+        main(["analyze", "--n", "8", "--a", "-16", "--b", "10"])
+    assert capsys.readouterr().out == ""
 
 
 def test_main_empties_every_memo(capsys):
@@ -795,6 +923,17 @@ def test_entry_exit_code_when_interrupted(monkeypatch, capsys, sigterm_restored,
     assert capsys.readouterr() == ("", "")
 
 
+def test_entry_reports_internal_contradiction(monkeypatch, capsys, sigterm_restored):
+    def contradicted():
+        raise InternalContradiction("theory says no")
+
+    monkeypatch.setattr(cli, "main", contradicted)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == EXIT_INTERNAL
+    assert capsys.readouterr() == ("", "error: internal contradiction: theory says no\n")
+
+
 def module_command(*argv):
     """Return the argv and environment that run ``python -m trinogen`` on the
     ``trinogen`` package this process imported."""
@@ -862,6 +1001,16 @@ class TestConsoleScript:
             timeout=60,
         )
         assert proc.returncode == EXIT_UNCERTIFIED
+
+    def test_internal_contradiction_is_one_line(self):
+        # The mod-16 screen matches, but x^16 + 80x + 335 is not 2-regular.
+        cmd, env = module_command("analyze", "--n", "16", "--a", "80", "--b", "335")
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_INTERNAL
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: internal contradiction: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
     def test_closed_stdout_exits_quietly(self):
         cmd, env = module_command("analyze", "--n", "8", "--a", "8", "--b", "8", "--json")

@@ -641,6 +641,43 @@ class TestVerdictPipeline:
         )
         assert v.congruence is not None
 
+    @pytest.fixture
+    def bound_calls(self, monkeypatch):
+        """The ``certified`` argument of each ``_inconclusive_bounds`` call."""
+        calls = []
+        real = monogenity._inconclusive_bounds
+
+        def counting(T, disc, certified):
+            calls.append(certified)
+            return real(T, disc, certified)
+
+        monkeypatch.setattr(monogenity, "_inconclusive_bounds", counting)
+        return calls
+
+    def test_certified_bounds_computed_on_first_read(self, bound_calls):
+        v = verdict(Trinomial(8, 1, -16, 10))
+        assert v.trail == ("irreducible(eisenstein, p=2)", "no-criterion-applied")
+        assert bound_calls == []
+        assert v.index_bounds == (
+            IndexBoundEntry(p=2, bound=0, exact=True),
+            IndexBoundEntry(p=3, bound=1, exact=True),
+        )
+        assert v.index_bounds is v.index_bounds
+        assert bound_calls == [True]
+
+    def test_assumed_bounds_computed_by_the_verdict(self, bound_calls):
+        v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
+        assert bound_calls == [False]
+        assert v.index_bounds == (IndexBoundEntry(p=2, bound=2, exact=False),)
+        assert bound_calls == [False]
+
+    @pytest.mark.parametrize(
+        "T", [Trinomial(8, 1, 8, 8), Trinomial(8, 1, 12, 3), Trinomial(2, 1, 1, -1)]
+    )
+    def test_no_bounds_before_the_bound_stage(self, bound_calls, T):
+        assert verdict(T).index_bounds == ()
+        assert bound_calls == []
+
     def test_index_bounds_bound_valuation(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
         for entry in v.index_bounds:
