@@ -120,17 +120,7 @@ class Trinomial:
         return PolyZ(coeffs)
 
     def __str__(self) -> str:
-        def term(c, e):
-            if c == 0:
-                return ""
-            xs = "1" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            if e == 0:
-                body = str(abs(c))
-            else:
-                body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-            return (" - " if c < 0 else " + ") + body
-
-        return f"x^{self.n}" + term(self.a, self.m) + term(self.b, 0)
+        return str(self.poly())
 
 
 DISC_FORMULA = (
@@ -220,40 +210,54 @@ def _candidate_primes(T: Trinomial, bound: int) -> list[int]:
     return out
 
 
-def _one_sided_hypotheses(T: Trinomial, p: int) -> bool:
-    k = valp(p, T.b)
-    if math.gcd(T.n, k) != 1:
-        return False
-    if T.a == 0:
-        return True
-    return T.n * valp(p, T.a) > (T.n - T.m) * k
+def _one_sided_primes(T: Trinomial) -> list[tuple[int, int]]:
+    """The one-sided gate: (p, k = nu_p(b)) at candidate primes, ascending.
+
+    A prime passes where the phi = x polygon of F at p is one side of
+    degree 1: gcd(n, k) = 1 and n*nu_p(a) > (n-m)*k, automatic when a = 0.
+    Such a polygon makes F irreducible over the p-adic numbers.  Every
+    candidate divides a, so k = 1 always passes, and there the gate is
+    exactly Eisenstein's criterion.
+    """
+    n, m, a = T.n, T.m, T.a
+    out = []
+    for p in _candidate_primes(T, _sf_bound()):
+        k = valp(p, T.b)
+        if math.gcd(n, k) == 1 and (a == 0 or n * valp(p, a) > (n - m) * k):
+            out.append((p, k))
+    return out
+
+
+def _one_sided_polygon(F: PolyZ, p: int) -> newton.PrincipalPolygon:
+    """The phi = x polygon of F at p, rechecked to be one side of degree 1."""
+    dev = phi_expand(F, PolyZ((0, 1)), p)
+    polygon = newton.principal_polygon(newton.point_cloud(dev), phi=PolyZ((0, 1)), p=p)
+    if len(polygon.sides) != 1 or polygon.sides[0].d != 1:
+        raise InternalContradiction(
+            "one-sided degree-1 polygon hypothesis failed recheck"
+        )
+    return polygon
 
 
 def irreducibility_certificate(T: Trinomial) -> IrreducibilityCertificate | None:
     """Certify irreducibility over Q, or return None (never claims reducibility).
 
-    Two routes, tried for each candidate prime in increasing order:
-    a p-Eisenstein check, then the one-sided degree-1 polygon criterion.
-    Both claims are re-verified on the actual polynomial before returning.
+    The certificate is the first prime of the one-sided gate
+    (``_one_sided_primes``): "eisenstein" when nu_p(b) = 1, else
+    "one_sided_polygon".  Either claim is re-verified on the actual
+    polynomial before returning.
     """
-    bound = _sf_bound()
-    for p in _candidate_primes(T, bound):
-        k = valp(p, T.b)
-        if k == 1 and (T.a == 0 or valp(p, T.a) >= 1):
-            if not _is_eisenstein(T.poly(), p):  # pragma: no cover - direct check
-                raise InternalContradiction("Eisenstein conditions failed recheck")
-            return IrreducibilityCertificate(route="eisenstein", p=p)
-        if _one_sided_hypotheses(T, p):
-            dev = phi_expand(T.poly(), PolyZ((0, 1)), p)
-            polygon = newton.principal_polygon(
-                newton.point_cloud(dev), phi=PolyZ((0, 1)), p=p
-            )
-            if len(polygon.sides) != 1 or polygon.sides[0].d != 1:
-                raise InternalContradiction(
-                    "one-sided degree-1 polygon hypothesis failed recheck"
-                )
-            return IrreducibilityCertificate(route="one_sided_polygon", p=p)
-    return None
+    gate = _one_sided_primes(T)
+    if not gate:
+        return None
+    p, k = gate[0]
+    F = T.poly()
+    if k == 1:
+        if not _is_eisenstein(F, p):  # pragma: no cover - direct check
+            raise InternalContradiction("Eisenstein conditions failed recheck")
+        return IrreducibilityCertificate(route="eisenstein", p=p)
+    _one_sided_polygon(F, p)
+    return IrreducibilityCertificate(route="one_sided_polygon", p=p)
 
 
 def _is_eisenstein(F: PolyZ, p: int) -> bool:
@@ -293,18 +297,12 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     n = T.n
     F = T.poly()
 
-    # The phi = x polygon must be a single side of degree 1 whose lattice
-    # index is (n-1)(k-1)/2; verified, not assumed.
-    dev = phi_expand(F, PolyZ((0, 1)), p)
-    polygon = newton.principal_polygon(newton.point_cloud(dev), phi=PolyZ((0, 1)), p=p)
+    # The one-sided polygon's lattice index must be (n-1)(k-1)/2; verified,
+    # not assumed.
+    polygon = _one_sided_polygon(F, p)
     expected = (n - 1) * (k - 1) // 2
-    if (
-        len(polygon.sides) != 1
-        or polygon.sides[0].d != 1
-        or newton.phi_index(polygon, 1) != expected
-        or expected < 1
-    ):
-        raise InternalContradiction("alpha-generator polygon shape failed recheck")
+    if newton.phi_index(polygon, 1) != expected or expected < 1:
+        raise InternalContradiction("alpha-generator polygon index failed recheck")
 
     x, y = dioph_solve(k, n)
     G = power_charpoly(F, x)
@@ -336,26 +334,21 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     )
 
 
-def check_alpha_generator(T: Trinomial, only_p: int | None = None) -> AlphaCert | None:
+def check_alpha_generator(T: Trinomial) -> AlphaCert | None:
     """Find a prime p where alpha = theta**x / p**y provably generates Z_K.
 
-    Hypotheses per prime: k = nu_p(b) >= 2, gcd(n, k) = 1, and
-    n*nu_p(a) > (n-m)*k (automatic when a = 0).  Candidate primes are the
-    divisors of gcd(a, b) in increasing order.  Among primes meeting the
-    hypotheses, the first whose stripped discriminant is certified
+    The primes tried are those of the one-sided gate (``_one_sided_primes``)
+    with k = nu_p(b) >= 2, in increasing order; at k = 1, F itself is
+    p-Eisenstein.  The first whose stripped discriminant is certified
     squarefree wins; failing that, the first with an Unknown status; a
     NotSquareFree status is reported only when no better prime exists.
     """
     disc = disc_trinomial(T)
     if disc == 0:
         return None
-    candidates = [only_p] if only_p is not None else _candidate_primes(T, _sf_bound())
     fallback: AlphaCert | None = None
-    for p in candidates:
-        k = valp(p, T.b)
-        if k < 2 or math.gcd(T.n, k) != 1:
-            continue
-        if not _one_sided_hypotheses(T, p):
+    for p, k in _one_sided_primes(T):
+        if k < 2:
             continue
         cert = _build_alpha_cert(T, p, k, disc)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
@@ -374,27 +367,25 @@ def check_alpha_generator_pow2(
     """Degree-2**r specialization of the alpha-generator criterion.
 
     Applicable when some prime p has nu_p(a) >= nu_p(b) >= 3 with nu_p(b)
-    odd and the stripped discriminant not provably squarefull: those
-    hypotheses imply the general ones (gcd(2**r, odd) = 1 and
-    2**r * nu_p(a) >= 2**r * nu_p(b) > (2**r - m) * nu_p(b)), so the
-    construction is delegated to check_alpha_generator at that prime.
+    odd and the stripped discriminant not proved to have a square factor
+    (status SquareFree or Unknown).  Those hypotheses put p in the one-sided
+    gate (gcd(2**r, odd) = 1 and 2**r * nu_p(a) >= 2**r * nu_p(b) >
+    (2**r - m) * nu_p(b)); that implication is rechecked, and the
+    certificate is built at p.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     T = Trinomial(n=2**r, m=m, a=a, b=b)
+    gate = {p for p, _ in _one_sided_primes(T)}
     for p in _candidate_primes(T, _sf_bound()):
-        if a != 0 and valp(p, a) < valp(p, b):
-            continue
         k = valp(p, b)
-        if k < 3 or k % 2 == 0:
+        if k < 3 or k % 2 == 0 or (a != 0 and valp(p, a) < k):
             continue
-        if math.gcd(T.n, k) != 1 or not _one_sided_hypotheses(T, p):
+        if p not in gate:
             raise InternalContradiction(
                 "power-of-two hypotheses failed to imply the general ones"
             )
-        cert = check_alpha_generator(T, only_p=p)
-        if cert is None:  # pragma: no cover - hypotheses were just verified
-            raise InternalContradiction("delegated alpha construction vanished")
+        cert = _build_alpha_cert(T, p, k, disc_trinomial(T))
         if cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
             return True, cert
     return False, None
@@ -565,14 +556,23 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
     """
     disc = disc_trinomial(T)
     trail: list[str] = []
-    if disc == 0:
+    irr: IrreducibilityCertificate | None = None
+
+    def result(kind: VerdictKind, **evidence) -> MonogenityVerdict:
         return MonogenityVerdict(
             trinomial=T,
-            kind=VerdictKind.INCONCLUSIVE,
+            kind=kind,
             disc=disc,
-            irreducibility=None,
-            irreducibility_assumed=assume_irreducible,
-            trail=("zero-discriminant",),
+            irreducibility=irr,
+            irreducibility_assumed=assume_irreducible and irr is None,
+            trail=tuple(trail),
+            **evidence,
+        )
+
+    if disc == 0:
+        trail.append("zero-discriminant")
+        return result(
+            VerdictKind.INCONCLUSIVE,
             reason="discriminant is zero: the trinomial has repeated roots",
         )
     irr = irreducibility_certificate(T)
@@ -581,13 +581,9 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
     elif assume_irreducible:
         trail.append("irreducible(assumed)")
     else:
-        return MonogenityVerdict(
-            trinomial=T,
-            kind=VerdictKind.INCONCLUSIVE,
-            disc=disc,
-            irreducibility=None,
-            irreducibility_assumed=False,
-            trail=tuple(trail) + ("irreducibility-not-certified",),
+        trail.append("irreducibility-not-certified")
+        return result(
+            VerdictKind.INCONCLUSIVE,
             reason="irreducibility could not be certified; "
             "rerun with the assume-irreducible flag to proceed anyway",
         )
@@ -597,25 +593,18 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
         witness = check_congruence_obstruction(r, T.a, T.b)
         if witness is not None:
             trail.append(f"congruence-screen({witness.case.value})")
-            confirmed = True
             problem = None
             try:
                 fact = ore.shared_factor_p(T.poly(), 2)
             except MalformedInput as exc:
-                confirmed = False
                 problem = str(exc)
-                fact = None
             else:
+                p1 = sum(1 for f in fact.factors if f.f == 1)
                 if not fact.regular:
-                    confirmed = False
                     problem = "the polygon data at 2 is not regular"
-                else:
-                    divides, d = common_index_divisor(fact, T.n)
-                    p1 = sum(1 for f in fact.factors if f.f == 1)
-                    if not divides or d != 1 or p1 < 3:
-                        confirmed = False
-                        problem = "no common index divisor was found at 2"
-            if not confirmed:
+                elif common_index_divisor(fact, T.n) != (True, 1) or p1 < 3:
+                    problem = "no common index divisor was found at 2"
+            if problem is not None:
                 # A certified-irreducible input failing engine confirmation
                 # means the code is wrong; a merely assumed one means the
                 # assumption was wrong, which is the user's honest answer.
@@ -624,29 +613,19 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
                         f"congruence screen matched but {problem}"
                     )
                 trail.append("assumption-contradicted")
-                return MonogenityVerdict(
-                    trinomial=T,
-                    kind=VerdictKind.INCONCLUSIVE,
-                    disc=disc,
-                    irreducibility=None,
-                    irreducibility_assumed=True,
-                    trail=tuple(trail),
+                return result(
+                    VerdictKind.INCONCLUSIVE,
                     congruence=witness,
                     reason="irreducibility was assumed but could not hold: "
                     + problem,
                 )
             trail.append(f"common-index-divisor(p=2, d=1, primes={p1} > 2)")
-            return MonogenityVerdict(
-                trinomial=T,
-                kind=VerdictKind.FIELD_NOT_MONOGENIC,
-                disc=disc,
-                irreducibility=irr,
-                irreducibility_assumed=assume_irreducible and irr is None,
-                trail=tuple(trail),
+            return result(
+                VerdictKind.FIELD_NOT_MONOGENIC,
                 p=2,
                 congruence=witness,
                 splitting=fact,
-                cid_degree=d,
+                cid_degree=1,
                 cid_count=p1,
                 cid_available=count_monic_irreducibles(2, 1),
             )
@@ -660,41 +639,22 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
         else:
             kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_CONDITIONAL
             trail.append(f"stripped-discriminant-unresolved(p={alpha.p})")
-        return MonogenityVerdict(
-            trinomial=T,
-            kind=kind,
-            disc=disc,
-            irreducibility=irr,
-            irreducibility_assumed=assume_irreducible and irr is None,
-            trail=tuple(trail),
-            p=alpha.p,
-            alpha=alpha,
-        )
+        return result(kind, p=alpha.p, alpha=alpha)
 
     bounds = None
     if irr is None:
         bounds, reducibility_proof = _inconclusive_bounds(T, disc, certified=False)
         if reducibility_proof is not None:
             trail.append("assumption-contradicted")
-            return MonogenityVerdict(
-                trinomial=T,
-                kind=VerdictKind.INCONCLUSIVE,
-                disc=disc,
-                irreducibility=None,
-                irreducibility_assumed=True,
-                trail=tuple(trail),
+            return result(
+                VerdictKind.INCONCLUSIVE,
                 reason="irreducibility was assumed but could not hold: "
                 + reducibility_proof,
                 computed_bounds=bounds,
             )
     trail.append("no-criterion-applied")
-    return MonogenityVerdict(
-        trinomial=T,
-        kind=VerdictKind.INCONCLUSIVE,
-        disc=disc,
-        irreducibility=irr,
-        irreducibility_assumed=assume_irreducible and irr is None,
-        trail=tuple(trail),
+    return result(
+        VerdictKind.INCONCLUSIVE,
         reason="no implemented criterion covers this trinomial",
         computed_bounds=bounds,
     )

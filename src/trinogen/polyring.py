@@ -340,9 +340,6 @@ class PhiDevelopment:
     terms: tuple[PolyZ, ...]
     vals: tuple
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def term_valuation(p: int, a: PolyZ):
     """min p-adic valuation over the coefficients of ``a``; INFINITY for 0."""

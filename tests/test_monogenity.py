@@ -8,6 +8,7 @@ exhaustive residue enumeration.
 """
 
 import math
+import random
 
 import pytest
 import sympy
@@ -88,6 +89,9 @@ class TestTrinomial:
         assert str(Trinomial(64, 1, 0, -65)) == "x^64 - 65"
         assert str(Trinomial(16, 15, 24, 8)) == "x^16 + 24*x^15 + 8"
         assert str(Trinomial(2, 1, 1, -1)) == "x^2 + x - 1"
+        assert str(Trinomial(16, 15, -1, 1)) == "x^16 - x^15 + 1"
+        assert str(Trinomial(8, 3, 1, -1)) == "x^8 + x^3 - 1"
+        assert str(Trinomial(8, 1, 0, 5)) == "x^8 + 5"
 
     def test_frozen(self):
         T = Trinomial(4, 1, 1, 1)
@@ -358,11 +362,6 @@ class TestCheckAlphaGenerator:
     def test_zero_discriminant_returns_none(self):
         assert check_alpha_generator(Trinomial(2, 1, 2, 1)) is None
 
-    def test_only_p_restriction(self):
-        T = Trinomial(8, 1, 8, 8)
-        assert check_alpha_generator(T, only_p=2) == check_alpha_generator(T)
-        assert check_alpha_generator(T, only_p=3) is None
-
 
 class TestCheckAlphaGeneratorPow2:
     def test_applies(self):
@@ -398,6 +397,130 @@ class TestCheckAlphaGeneratorPow2:
         if ok:
             assert cert.k >= 3 and cert.k % 2 == 1
             assert cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE
+
+
+class TestPerPrimeGates:
+    """The three criteria against their per-prime gates, written out here.
+
+    Each gate is stated as its own hypotheses at one prime p dividing
+    gcd(a, b) (or b when a = 0), and the certificate fields are rebuilt
+    from the characteristic polynomial of theta**x, so the test shares no
+    gate or selection code with the module.
+    """
+
+    @staticmethod
+    def sample(count=3000, seed=20261019):
+        rng = random.Random(seed)
+        degrees = list(range(2, 13)) + [16, 32]
+        # Cofactors with squares and cubes give a second prime a k >= 2.
+        units = (1, 2, 3, 5, 7, 9, 25, 27, 125)
+        for _ in range(count):
+            n = rng.choice(degrees)
+            m = rng.randrange(1, n)
+            p = rng.choice((2, 3, 5))
+            b = rng.choice((-1, 1)) * p ** rng.randint(1, 6) * rng.choice(units)
+            if rng.random() < 0.15:
+                a = 0
+            else:
+                a = rng.choice((-1, 1)) * p ** rng.randint(0, 7) * rng.choice(units)
+            yield Trinomial(n, m, a, b)
+
+    @staticmethod
+    def primes(T):
+        return sympy.primefactors(T.b if T.a == 0 else math.gcd(T.a, T.b))
+
+    @staticmethod
+    def one_sided(T, p):
+        k = valp(p, T.b)
+        if math.gcd(T.n, k) != 1:
+            return False
+        return T.a == 0 or T.n * valp(p, T.a) > (T.n - T.m) * k
+
+    @classmethod
+    def alpha_fields(cls, T, p):
+        k = valp(p, T.b)
+        x = pow(k, -1, T.n)
+        y = (k * x - 1) // T.n
+        G = power_charpoly(T.poly(), x)
+        H = PolyZ(c // p ** (y * (T.n - i)) for i, c in enumerate(G.coeffs))
+        status = squarefree_status(strip_p(p, disc_trinomial(T)).unit_part)
+        return (p, k, x, y, H, status)
+
+    @classmethod
+    def expected_irreducibility(cls, T):
+        for p in cls.primes(T):
+            if valp(p, T.b) == 1 and T.a % p == 0:
+                return ("eisenstein", p)
+            if cls.one_sided(T, p):
+                return ("one_sided_polygon", p)
+        return None
+
+    @classmethod
+    def alpha_primes(cls, T):
+        return [
+            p
+            for p in cls.primes(T)
+            if valp(p, T.b) >= 2
+            and math.gcd(T.n, valp(p, T.b)) == 1
+            and cls.one_sided(T, p)
+        ]
+
+    @classmethod
+    def expected_alpha(cls, T):
+        if disc_trinomial(T) == 0:
+            return None
+        found = [cls.alpha_fields(T, p) for p in cls.alpha_primes(T)]
+        for status in (
+            SquarefreeStatus.SQUARE_FREE,
+            SquarefreeStatus.UNKNOWN,
+            SquarefreeStatus.NOT_SQUARE_FREE,
+        ):
+            for fields in found:
+                if fields[-1] is status:
+                    return fields
+        return None
+
+    @classmethod
+    def expected_pow2(cls, T):
+        for p in cls.primes(T):
+            k = valp(p, T.b)
+            if k < 3 or k % 2 == 0 or (T.a != 0 and valp(p, T.a) < k):
+                continue
+            assert cls.one_sided(T, p)
+            fields = cls.alpha_fields(T, p)
+            if fields[-1] is not SquarefreeStatus.NOT_SQUARE_FREE:
+                return True, fields
+        return False, None
+
+    @staticmethod
+    def fields(cert):
+        if cert is None:
+            return None
+        return (cert.p, cert.k, cert.x, cert.y, cert.H, cert.deltap_status)
+
+    def test_criteria_match_their_gates(self):
+        kinds = ("a=0", "a<0", "b<0", "k=1", "even k", "gcd(n,k)>1")
+        seen = dict.fromkeys(kinds + ("alpha", "two alpha primes", "pow2"), 0)
+        for T in self.sample():
+            cert = irreducibility_certificate(T)
+            got = None if cert is None else (cert.route, cert.p)
+            assert got == self.expected_irreducibility(T), T
+            alpha = self.fields(check_alpha_generator(T))
+            assert alpha == self.expected_alpha(T), T
+            seen["two alpha primes"] += len(self.alpha_primes(T)) >= 2
+            if T.r is not None:
+                ok, cert = check_alpha_generator_pow2(T.r, T.m, T.a, T.b)
+                assert (ok, self.fields(cert)) == self.expected_pow2(T), T
+                seen["pow2"] += ok
+            ks = [valp(p, T.b) for p in self.primes(T)]
+            seen["a=0"] += T.a == 0
+            seen["a<0"] += T.a < 0
+            seen["b<0"] += T.b < 0
+            seen["k=1"] += 1 in ks
+            seen["even k"] += any(k % 2 == 0 for k in ks)
+            seen["gcd(n,k)>1"] += any(math.gcd(T.n, k) > 1 for k in ks)
+            seen["alpha"] += alpha is not None
+        assert min(seen.values()) >= 50, seen
 
 
 # -- congruence screens ----------------------------------------------------------------
