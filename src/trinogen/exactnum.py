@@ -31,9 +31,10 @@ class NotCoprime(ValueError):
 class Infinity:
     """The valuation of zero.
 
-    Compares strictly above every integer and absorbs addition, which is all
-    the polygon code ever does with it.  A single shared instance is exposed
-    as :data:`INFINITY`.
+    Compares strictly above every integer and absorbs addition, though the
+    package itself never orders or adds it: it tests a valuation with
+    ``is INFINITY``, and INFINITY equals no integer.  A single shared
+    instance is exposed as :data:`INFINITY`.
     """
 
     _instance = None

@@ -123,18 +123,16 @@ class Trinomial:
         return str(self.poly())
 
 
-DISC_FORMULA = (
-    "(-1)^(n*(n-1)/2) * b^(m-1) * "
-    "(n^n1 * b^(n1-m1) - (-1)^m1 * m^m1 * (m-n)^(n1-m1) * a^n1)^d0"
-)
-
-
 def disc_trinomial(T: Trinomial) -> int:
-    """Discriminant of the trinomial, in closed form.
+    """Discriminant of the trinomial, in closed form:
 
-    Uses the reading of the closed form that agrees with the resultant
-    definition (verified against polyring.discriminant): the bases of the
-    inner powers are n and m themselves, with exponents n1 and m1.
+        (-1)^(n*(n-1)/2) * b^(m-1)
+            * (n^n1 * b^(n1-m1) - (-1)^m1 * m^m1 * (m-n)^(n1-m1) * a^n1)^d0
+
+    with d0 = gcd(n, m), n1 = n/d0 and m1 = m/d0.  This is the reading of
+    the closed form that agrees with the resultant definition (verified
+    against polyring.discriminant): the bases of the inner powers are n and
+    m themselves, with exponents n1 and m1.
     """
     n, m, a, b = T.n, T.m, T.a, T.b
     d0, n1, m1 = T.d0, T.n1, T.m1
@@ -231,7 +229,7 @@ def _one_sided_primes(T: Trinomial) -> list[tuple[int, int]]:
 def _one_sided_polygon(F: PolyZ, p: int) -> newton.PrincipalPolygon:
     """The phi = x polygon of F at p, rechecked to be one side of degree 1."""
     dev = phi_expand(F, PolyZ((0, 1)), p)
-    polygon = newton.principal_polygon(newton.point_cloud(dev), phi=PolyZ((0, 1)), p=p)
+    polygon = newton.principal_polygon(newton.point_cloud(dev))
     if len(polygon.sides) != 1 or polygon.sides[0].d != 1:
         raise InternalContradiction(
             "one-sided degree-1 polygon hypothesis failed recheck"
@@ -343,13 +341,14 @@ def check_alpha_generator(T: Trinomial) -> AlphaCert | None:
     squarefree wins; failing that, the first with an Unknown status; a
     NotSquareFree status is reported only when no better prime exists.
     """
+    gate = [(p, k) for p, k in _one_sided_primes(T) if k >= 2]
+    if not gate:
+        return None
     disc = disc_trinomial(T)
     if disc == 0:
         return None
     fallback: AlphaCert | None = None
-    for p, k in _one_sided_primes(T):
-        if k < 2:
-            continue
+    for p, k in gate:
         cert = _build_alpha_cert(T, p, k, disc)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
             return cert
@@ -437,7 +436,7 @@ def check_congruence_obstruction(r: int, a: int, b: int) -> CongruenceWitness | 
 # -- common index divisors ---------------------------------------------------------
 
 
-def common_index_divisor(fact: OreFactorization, n: int) -> tuple[bool, int | None]:
+def common_index_divisor(fact: OreFactorization) -> tuple[bool, int | None]:
     """Does p divide the index of every generator of the field?
 
     Compares, for each residue degree d, the number P_d of primes above p
@@ -450,8 +449,8 @@ def common_index_divisor(fact: OreFactorization, n: int) -> tuple[bool, int | No
     counts: dict[int, int] = {}
     for factor in fact.factors:
         counts[factor.f] = counts.get(factor.f, 0) + 1
-    for d in range(1, n + 1):
-        if counts.get(d, 0) > count_monic_irreducibles(fact.p, d):
+    for d in sorted(counts):
+        if counts[d] > count_monic_irreducibles(fact.p, d):
             return True, d
     return False, None
 
@@ -602,7 +601,7 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
                 p1 = sum(1 for f in fact.factors if f.f == 1)
                 if not fact.regular:
                     problem = "the polygon data at 2 is not regular"
-                elif common_index_divisor(fact, T.n) != (True, 1) or p1 < 3:
+                elif common_index_divisor(fact) != (True, 1) or p1 < 3:
                     problem = "no common index divisor was found at 2"
             if problem is not None:
                 # A certified-irreducible input failing engine confirmation

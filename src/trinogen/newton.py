@@ -5,7 +5,9 @@ cloud is {(i, u_i) : a_i != 0} where u_i is the minimum p-adic valuation
 of the coefficients of a_i.  The principal polygon is the negative-slope
 part of the lower convex envelope of that cloud; its sides carry exact
 coprime slope data (h, e), and each side has a residual polynomial over
-the residue field F_phi = F_p[t]/(phi mod p).
+the residue field F_phi = F_p[t]/(phi mod p), read off the side itself: its
+coefficients are the residues of the development's terms at the lattice
+points of the side.
 
 Everything here is exact: hulls use big-integer cross products, slopes are
 coprime integer pairs, and lattice-point counts are closed-form integer
@@ -15,7 +17,6 @@ sums.  No floats appear anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .exactnum import INFINITY
@@ -45,15 +46,6 @@ class Side:
     def end(self) -> tuple[int, int]:
         return (self.start[0] + self.length, self.start[1] - self.d * self.h)
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(-self.h, self.e)
-
-    def ordinate_num(self, x: int) -> tuple[int, int]:
-        """Exact polygon height at abscissa x as a (numerator, denominator) pair."""
-        s, us = self.start
-        return (us * self.e - self.h * (x - s), self.e)
-
 
 @dataclass(frozen=True)
 class PrincipalPolygon:
@@ -66,8 +58,6 @@ class PrincipalPolygon:
     evidence instead of vanishing silently.
     """
 
-    phi: PolyZ | None
-    p: int | None
     sides: tuple[Side, ...]
     length: int
     vertices: tuple[tuple[int, int], ...]
@@ -100,9 +90,7 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def principal_polygon(
-    cloud, phi: PolyZ | None = None, p: int | None = None
-) -> PrincipalPolygon:
+def principal_polygon(cloud) -> PrincipalPolygon:
     """Lower convex hull of the cloud restricted to its negative-slope sides.
 
     The cloud must be a set of lattice points with distinct abscissas,
@@ -143,8 +131,6 @@ def principal_polygon(
             "principal part does not terminate on the horizontal axis"
         )
     return PrincipalPolygon(
-        phi=phi,
-        p=p,
         sides=tuple(sides),
         length=length,
         vertices=tuple(vertices),
@@ -159,72 +145,39 @@ def residue_field(phi: PolyZ, p: int) -> FqField:
     return get_field(p, tuple(c % p for c in phi.coeffs))
 
 
-def _side_covering(polygon: PrincipalPolygon, i: int) -> Side | None:
-    for side in polygon.sides:
-        if side.start[0] <= i <= side.end[0]:
-            return side
-    return None
-
-
-def residue_coefficient(dev: PhiDevelopment, polygon: PrincipalPolygon, i: int):
-    """c_i in F_phi: zero off the polygon, a_i/p^{u_i} mod (p, phi) on it."""
-    if not 0 <= i <= polygon.length:
-        raise MalformedInput(f"abscissa {i} is beyond the principal polygon")
-    field = residue_field(dev.phi, dev.p)
-    u = dev.vals[i]
-    if u is INFINITY:
-        return field.zero
-    side = _side_covering(polygon, i)
-    if side is None:
-        on_polygon = i == polygon.length and u == 0
-    else:
-        num, den = side.ordinate_num(i)
-        on_polygon = u * den == num
-    if not on_polygon:
-        return field.zero
-    p = dev.p
-    scale = p**u
-    digits = []
-    for c in dev.terms[i].coeffs:
-        q, r = divmod(c, scale)
-        if r:  # pragma: no cover - u is the minimum valuation
-            raise ArithmeticError("residue scaling division was not exact")
-        digits.append(q % p)
-    return field.elem(digits)
-
-
-@dataclass(frozen=True)
-class ResidualPolynomial:
-    """R(y) = c_s + c_{s+e} y + ... + c_{s+de} y^d attached to one side.
-
-    Coefficients live in F_phi; both endpoints are nonzero because the
-    side's endpoints are vertices of the polygon, so deg R = d exactly.
-    """
-
-    side: Side
-    field: FqField
-    coeffs: tuple
-
-    @property
-    def poly(self) -> FqPoly:
-        return FqPoly(self.field, self.coeffs)
-
-
 def residual_poly(
     dev: PhiDevelopment, polygon: PrincipalPolygon, side_index: int
-) -> ResidualPolynomial:
-    """Residual polynomial of polygon.sides[side_index]."""
+) -> FqPoly:
+    """Residual polynomial c_0 + c_1 y + ... + c_d y^d of polygon.sides[side_index].
+
+    c_j belongs to the abscissa i = s + j*e of the side.  It is
+    a_i / p^{u_i} mod (p, phi) in F_phi when the point (i, u_i) lies on the
+    side, that is u_i = u_s - j*h, and zero otherwise (a_i = 0 included).
+    Both endpoints of the side are vertices, so the degree is d exactly.
+    """
     if not 0 <= side_index < len(polygon.sides):
         raise MalformedInput(f"no side with index {side_index}")
     side = polygon.sides[side_index]
-    field = residue_field(dev.phi, dev.p)
-    s = side.start[0]
-    coeffs = tuple(
-        residue_coefficient(dev, polygon, s + j * side.e) for j in range(side.d + 1)
-    )
+    p = dev.p
+    field = residue_field(dev.phi, p)
+    s, us = side.start
+    coeffs = []
+    for j in range(side.d + 1):
+        i, u = s + j * side.e, us - j * side.h
+        if dev.vals[i] != u:  # INFINITY equals no integer
+            coeffs.append(field.zero)
+            continue
+        scale = p**u
+        digits = []
+        for c in dev.terms[i].coeffs:
+            q, r = divmod(c, scale)
+            if r:  # pragma: no cover - u is the minimum valuation
+                raise ArithmeticError("residue scaling division was not exact")
+            digits.append(q)
+        coeffs.append(field.elem(digits))
     if coeffs[0] == field.zero or coeffs[-1] == field.zero:  # pragma: no cover - vertices lie on
         raise ArithmeticError("residual endpoints must be nonzero")
-    return ResidualPolynomial(side=side, field=field, coeffs=coeffs)
+    return FqPoly(field, coeffs)
 
 
 def phi_index(polygon: PrincipalPolygon, deg_phi: int) -> int:

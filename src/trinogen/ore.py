@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from . import ffactor, newton
 from .exactnum import INFINITY, Memo, is_probable_prime
 from .ffactor import FqFactorization
-from .newton import MalformedInput, PrincipalPolygon, ResidualPolynomial, Side
-from .polyring import PolyZ, phi_expand, reduce_mod
+from .newton import MalformedInput, PrincipalPolygon, Side
+from .polyring import FqPoly, PolyZ, phi_expand, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SideData:
     """Evidence for one side: its residual polynomial and factorization."""
 
     side: Side
-    residual: ResidualPolynomial
+    residual: FqPoly
     separable: bool
     factorization: FqFactorization
 
@@ -103,7 +103,7 @@ def _polygon_stage(F: PolyZ, p: int, phibar, multiplicity: int):
         # F = phi * (...) exactly over Z, so F is reducible and the caller
         # broke the irreducibility precondition in a detectable way.
         raise MalformedInput(f"input is divisible by {phi}, hence reducible")
-    polygon = newton.principal_polygon(newton.point_cloud(dev), phi=phi, p=p)
+    polygon = newton.principal_polygon(newton.point_cloud(dev))
     if polygon.length != multiplicity:  # pragma: no cover - internal cross-check
         raise ArithmeticError("polygon length disagrees with mod-p multiplicity")
     return phi, dev, polygon, newton.phi_index(polygon, phi.degree)
@@ -118,13 +118,12 @@ def _analyze_factor(F: PolyZ, p: int, phibar, multiplicity: int) -> PhiData:
     sides = []
     for j in range(len(polygon.sides)):
         res = newton.residual_poly(dev, polygon, j)
-        poly = res.poly
         sides.append(
             SideData(
                 side=polygon.sides[j],
                 residual=res,
-                separable=ffactor.is_separable(poly),
-                factorization=ffactor.factor(poly),
+                separable=ffactor.is_separable(res),
+                factorization=ffactor.factor(res),
             )
         )
     return PhiData(

@@ -7,6 +7,7 @@ from-scratch brute force so they share no logic with the package under test.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,15 @@ def random_trinomial(rng: random.Random, max_n: int = 64) -> Trinomial:
             return Trinomial(n=n, m=m, a=a, b=b)
 
 
+def trinomial_polyz(n: int, m: int, a: int, b: int) -> PolyZ:
+    """x^n + a*x^m + b as a PolyZ; unlike Trinomial, b = 0 is allowed."""
+    coeffs = [0] * (n + 1)
+    coeffs[0] = b
+    coeffs[m] += a
+    coeffs[n] += 1
+    return PolyZ(coeffs)
+
+
 def random_polyz(rng: random.Random, max_deg: int = 8, span: int = 30) -> PolyZ:
     """A random nonzero integer polynomial."""
     while True:
@@ -38,6 +48,27 @@ def random_polyz(rng: random.Random, max_deg: int = 8, span: int = 30) -> PolyZ:
 def random_monic_polyz(rng: random.Random, deg: int, span: int = 30) -> PolyZ:
     coeffs = [rng.randint(-span, span) for _ in range(deg)] + [1]
     return PolyZ(coeffs)
+
+
+def random_cloud(rng: random.Random, max_pts=10, max_x=24, max_y=12):
+    """Lattice points with distinct abscissas and at least one zero ordinate."""
+    xs = sorted(rng.sample(range(max_x + 1), rng.randint(1, max_pts)))
+    pts = [(x, rng.randint(0, max_y)) for x in xs]
+    inx = rng.randrange(len(pts))
+    pts[inx] = (pts[inx][0], 0)
+    return pts
+
+
+def polygon_height(polygon, x) -> Fraction:
+    """Height of a principal polygon at abscissa x, from each side's start,
+    h and e; 0 at the end of a polygon without sides."""
+    for side in polygon.sides:
+        if side.start[0] <= x <= side.end[0]:
+            s, us = side.start
+            return us - Fraction(side.h * (x - s), side.e)
+    if x == polygon.length:
+        return Fraction(0)
+    raise AssertionError(f"abscissa {x} not covered by any side")
 
 
 @pytest.fixture

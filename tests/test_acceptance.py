@@ -43,7 +43,7 @@ from trinogen.newton import phi_index, principal_polygon
 from trinogen.ore import factor_p, index_bound
 from trinogen.polyring import PolyZ, discriminant, get_field, phi_expand
 
-from conftest import sympy_poly
+from conftest import polygon_height, random_cloud, sympy_poly
 
 
 @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ class TestDegree8CommonIndexDivisor:
 
     def test_common_index_divisor_by_pigeonhole(self):
         fact = factor_p(self.T.poly(), 2)
-        assert common_index_divisor(fact, 8) == (True, 1)
+        assert common_index_divisor(fact) == (True, 1)
         residue_degree_one = sum(1 for f in fact.factors if f.f == 1)
         assert residue_degree_one > count_monic_irreducibles(2, 1)
 
@@ -223,32 +223,6 @@ def chord_envelope(points, x) -> Fraction:
     return best
 
 
-def polygon_ordinate(polygon, x) -> Fraction:
-    for side in polygon.sides:
-        if side.start[0] <= x <= side.end[0]:
-            num, den = side.ordinate_num(x)
-            return Fraction(num, den)
-    if x == polygon.length:
-        # zero-length principal part: the single vertex sits at ordinate 0
-        return Fraction(0)
-    raise AssertionError(f"abscissa {x} not covered")
-
-
-def random_cloud(rng, max_pts=10, max_x=24, max_y=12):
-    xs = sorted(rng.sample(range(max_x + 1), rng.randint(1, max_pts)))
-    pts = [(x, rng.randint(0, max_y)) for x in xs]
-    pts[rng.randrange(len(pts))] = (pts[rng.randrange(len(pts))][0], 0)
-    # re-sort abscissas may collide after the overwrite; rebuild cleanly
-    seen = {}
-    for x, y in pts:
-        seen[x] = min(y, seen.get(x, y))
-    pts = sorted(seen.items())
-    if all(y > 0 for _, y in pts):
-        x0, _ = pts[0]
-        pts[0] = (x0, 0)
-    return pts
-
-
 class TestHullOracle:
     def test_polygon_equals_chord_envelope(self):
         # The principal polygon is computed with integer cross products;
@@ -266,7 +240,7 @@ class TestHullOracle:
             start = poly.vertices[0][0]
             end = poly.vertices[-1][0]
             for x in range(start, end + 1):
-                assert polygon_ordinate(poly, x) == chord_envelope(pts, x), (i, pts, x)
+                assert polygon_height(poly, x) == chord_envelope(pts, x), (i, pts, x)
             # structural invariants: vertices are cloud points, slopes
             # strictly increase and stay negative, sides tile the range
             cloud = set(pts)
@@ -291,7 +265,7 @@ class TestPolygonIndexOracle:
             expected = 0
             start = poly.vertices[0][0]
             for x in range(max(1, start), poly.length + 1):
-                expected += max(0, int(polygon_ordinate(poly, x)))
+                expected += max(0, int(polygon_height(poly, x)))
             for deg_phi in (1, 2, 3):
                 assert phi_index(poly, deg_phi) == expected * deg_phi
 

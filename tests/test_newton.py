@@ -14,16 +14,16 @@ from trinogen.exactnum import INFINITY
 from trinogen.ffactor import factor
 from trinogen.newton import (
     MalformedInput,
-    PrincipalPolygon,
     lift_balanced,
     phi_index,
     point_cloud,
     principal_polygon,
     residual_poly,
-    residue_coefficient,
     residue_field,
 )
 from trinogen.polyring import PolyZ, get_field, phi_expand, reduce_mod
+
+from conftest import polygon_height, random_cloud, trinomial_polyz
 
 
 def envelope_value(points, x) -> Fraction:
@@ -43,33 +43,6 @@ def envelope_value(points, x) -> Fraction:
     return best
 
 
-def polygon_value(polygon: PrincipalPolygon, x) -> Fraction:
-    for side in polygon.sides:
-        if side.start[0] <= x <= side.end[0]:
-            num, den = side.ordinate_num(x)
-            return Fraction(num, den)
-    if x == polygon.length:
-        return Fraction(0)
-    raise AssertionError(f"abscissa {x} not covered by any side")
-
-
-def random_cloud(rng, max_pts=10, max_x=24, max_y=12):
-    xs = sorted(rng.sample(range(max_x + 1), rng.randint(1, max_pts)))
-    pts = [(x, rng.randint(0, max_y)) for x in xs]
-    # guarantee a zero ordinate somewhere
-    inx = rng.randrange(len(pts))
-    pts[inx] = (pts[inx][0], 0)
-    return pts
-
-
-def trinomial_polyz(n, m, a, b) -> PolyZ:
-    coeffs = [0] * (n + 1)
-    coeffs[0] = b
-    coeffs[m] += a
-    coeffs[n] += 1
-    return PolyZ(coeffs)
-
-
 class TestPrincipalPolygonFixtures:
     def test_one_sided_polygon(self):
         # x^8 + 8x + 8 at p = 2 around phi = x
@@ -77,12 +50,12 @@ class TestPrincipalPolygonFixtures:
         dev = phi_expand(F, PolyZ([0, 1]), 2)
         cloud = point_cloud(dev)
         assert cloud == ((0, 3), (1, 3), (8, 0))
-        poly = principal_polygon(cloud, PolyZ([0, 1]), 2)
+        poly = principal_polygon(cloud)
         assert poly.vertices == ((0, 3), (8, 0))
         assert len(poly.sides) == 1
         side = poly.sides[0]
         assert (side.h, side.e, side.d) == (3, 8, 1)
-        assert side.slope == Fraction(-3, 8)
+        assert Fraction(-side.h, side.e) == Fraction(-3, 8)
         assert side.length == 8
         assert poly.length == 8
         assert poly.discarded == ()
@@ -92,10 +65,10 @@ class TestPrincipalPolygonFixtures:
         # x^8 + 12x + 3 at p = 2 around the balanced lift x - 1
         F = trinomial_polyz(8, 1, 12, 3)
         dev = phi_expand(F, PolyZ([-1, 1]), 2)
-        poly = principal_polygon(point_cloud(dev), PolyZ([-1, 1]), 2)
+        poly = principal_polygon(point_cloud(dev))
         assert poly.vertices == ((0, 4), (1, 2), (4, 1), (8, 0))
         assert [(s.h, s.e, s.d) for s in poly.sides] == [(2, 1, 1), (1, 3, 1), (1, 4, 1)]
-        assert [s.slope for s in poly.sides] == [
+        assert [Fraction(-s.h, s.e) for s in poly.sides] == [
             Fraction(-2),
             Fraction(-1, 3),
             Fraction(-1, 4),
@@ -105,7 +78,7 @@ class TestPrincipalPolygonFixtures:
         # x^16 + 8x + 7 at p = 2 around x - 1
         F = trinomial_polyz(16, 1, 8, 7)
         dev = phi_expand(F, PolyZ([-1, 1]), 2)
-        poly = principal_polygon(point_cloud(dev), PolyZ([-1, 1]), 2)
+        poly = principal_polygon(point_cloud(dev))
         assert poly.vertices == ((0, 4), (1, 3), (4, 2), (8, 1), (16, 0))
         assert all(s.d == 1 for s in poly.sides)
 
@@ -156,16 +129,16 @@ class TestHullOracle:
             start = poly.vertices[0][0]
             # pointwise equality with the chord envelope on the principal range
             for x in range(start, poly.length + 1):
-                assert polygon_value(poly, x) == envelope_value(pts, x)
+                assert polygon_height(poly, x) == envelope_value(pts, x)
             # every vertex is a cloud point; every cloud point is on/above
             ptset = set(pts)
             for v in poly.vertices:
                 assert v in ptset
             for x, y in pts:
                 if start <= x <= poly.length:
-                    assert Fraction(y) >= polygon_value(poly, x)
+                    assert Fraction(y) >= polygon_height(poly, x)
             # slopes strictly increase and stay negative
-            slopes = [s.slope for s in poly.sides]
+            slopes = [Fraction(-s.h, s.e) for s in poly.sides]
             assert all(sl < 0 for sl in slopes)
             assert all(a < b for a, b in zip(slopes, slopes[1:]))
             # sides tile the principal range
@@ -192,7 +165,7 @@ class TestLengthLaw:
                 phi = lift_balanced(phibar)
                 dev = phi_expand(F, phi, p)
                 cloud = point_cloud(dev)
-                poly = principal_polygon(cloud, phi, p)
+                poly = principal_polygon(cloud)
                 assert poly.length == mult
                 checked += 1
 
@@ -202,31 +175,75 @@ class TestResidueData:
         F = trinomial_polyz(8, 1, 12, 3)
         phi = PolyZ([-1, 1])
         dev = phi_expand(F, phi, 2)
-        poly = principal_polygon(point_cloud(dev), phi, 2)
+        poly = principal_polygon(point_cloud(dev))
         F2 = get_field(2)
         for k in range(3):
             res = residual_poly(dev, poly, k)
-            assert res.poly == F2.poly([1, 1])  # y + 1 on every side
-            assert res.poly.degree == poly.sides[k].d
+            assert res == F2.poly([1, 1])  # y + 1 on every side
+            assert res.degree == poly.sides[k].d
 
-    def test_residue_coefficient_off_polygon_is_zero(self):
-        # (1, 3) sits strictly above the single side of x^8 + 8x + 8 at x
-        F = trinomial_polyz(8, 1, 8, 8)
-        dev = phi_expand(F, PolyZ([0, 1]), 2)
-        poly = principal_polygon(point_cloud(dev), PolyZ([0, 1]), 2)
-        field = get_field(2)
-        assert residue_coefficient(dev, poly, 1) == field.zero
-        assert residue_coefficient(dev, poly, 0) == field.one
-        assert residue_coefficient(dev, poly, 8) == field.one
+    def test_point_above_the_side_gives_a_zero_coefficient(self):
+        # x^4 + 4x^2 + 4 at p = 2 around x: one side from (0, 2) to (4, 0)
+        # with e = 2 and d = 2, and (2, 2) lies above it.
+        dev = phi_expand(PolyZ([4, 0, 4, 0, 1]), PolyZ([0, 1]), 2)
+        poly = principal_polygon(point_cloud(dev))
+        (side,) = poly.sides
+        assert (side.start, side.end, side.e, side.d) == ((0, 2), (4, 0), 2, 2)
+        res = residual_poly(dev, poly, 0)
+        assert res.coeffs == (1, 0, 1)
+        assert str(res) == "y^2 + 1"
 
-    def test_residue_coefficient_out_of_range(self):
-        F = trinomial_polyz(8, 1, 8, 8)
-        dev = phi_expand(F, PolyZ([0, 1]), 2)
-        poly = principal_polygon(point_cloud(dev), PolyZ([0, 1]), 2)
+    def test_residual_over_an_extension_field(self):
+        # x^4 + 2x^3 + 3x^2 + 2x + 5 = (x^2 + x + 1)^2 mod 2
+        F = PolyZ([5, 2, 3, 2, 1])
+        ((phibar, mult),) = factor(reduce_mod(F, 2)).factors
+        assert mult == 2
+        dev = phi_expand(F, lift_balanced(phibar), 2)
+        res = residual_poly(dev, principal_polygon(point_cloud(dev)), 0)
+        assert res.field.modulus == (1, 1, 1)
+        assert str(res) == "y^2 + t+1"
+
+    def test_residual_matches_a_direct_reading(self):
+        # F = phi^k + (multiples of powers of p), around phi of degree 1 or
+        # 2.  Each coefficient is read here from dev.vals and dev.terms: the
+        # lattice abscissas s, s+e, ..., s+de of the side, and a nonzero
+        # residue exactly where the point lies on the polygon.
+        phis = {2: [(0, 1), (1, 1), (1, 1, 1)],
+                3: [(0, 1), (1, 1), (2, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1)]}
+        rng = random.Random(0x5E1D)
+        seen = {"deg2": 0, "d>1": 0, "inner zero": 0}
+        for _ in range(300):
+            p = rng.choice((2, 3))
+            phi = lift_balanced(get_field(p).poly(list(rng.choice(phis[p]))))
+            k = rng.randint(1, 6)
+            F = phi**k
+            F = F + PolyZ([rng.randint(-4, 4) * p ** rng.randint(1, 4)
+                           for _ in range(F.degree)])
+            dev = phi_expand(F, phi, p)
+            poly = principal_polygon(point_cloud(dev))
+            field = residue_field(phi, p)
+            for idx, side in enumerate(poly.sides):
+                s = side.start[0]
+                expected = []
+                for i in range(s, side.end[0] + 1, side.e):
+                    u = dev.vals[i]
+                    if u is INFINITY or u != polygon_height(poly, i):
+                        expected.append(field.zero)
+                        continue
+                    assert all(c % p**u == 0 for c in dev.terms[i].coeffs)
+                    expected.append(field.elem([c // p**u % p for c in dev.terms[i].coeffs]))
+                res = residual_poly(dev, poly, idx)
+                assert (res.field, res.coeffs) == (field, tuple(expected))
+                seen["deg2"] += phi.degree == 2
+                seen["d>1"] += side.d > 1
+                seen["inner zero"] += field.zero in expected[1:-1]
+        assert min(seen.values()) > 0, seen
+
+    def test_rejects_a_missing_side(self):
+        dev = phi_expand(PolyZ([4, 0, 4, 0, 1]), PolyZ([0, 1]), 2)
+        poly = principal_polygon(point_cloud(dev))
         with pytest.raises(MalformedInput):
-            residue_coefficient(dev, poly, 9)
-        with pytest.raises(MalformedInput):
-            residue_coefficient(dev, poly, -1)
+            residual_poly(dev, poly, 1)
 
     def test_residual_degree_and_endpoints(self):
         rng = random.Random(31337)
@@ -245,11 +262,11 @@ class TestResidueData:
                 dev = phi_expand(F, phi, p)
                 if dev.vals[0] is INFINITY:
                     continue
-                poly = principal_polygon(point_cloud(dev), phi, p)
+                poly = principal_polygon(point_cloud(dev))
                 for k in range(len(poly.sides)):
                     res = residual_poly(dev, poly, k)
                     side = poly.sides[k]
-                    assert res.poly.degree == side.d
+                    assert res.degree == side.d
                     assert res.field.zero not in (res.coeffs[0], res.coeffs[-1])
                     checked += 1
 
@@ -265,7 +282,7 @@ class TestPhiIndex:
     def test_known_value(self):
         F = trinomial_polyz(8, 1, 8, 8)
         dev = phi_expand(F, PolyZ([0, 1]), 2)
-        poly = principal_polygon(point_cloud(dev), PolyZ([0, 1]), 2)
+        poly = principal_polygon(point_cloud(dev))
         assert phi_index(poly, 1) == 7
 
     def test_lattice_count_oracle(self):
@@ -276,7 +293,7 @@ class TestPhiIndex:
             expected = 0
             start = poly.vertices[0][0]
             for x in range(max(1, start), poly.length + 1):
-                val = polygon_value(poly, x)
+                val = polygon_height(poly, x)
                 # lattice points (x, y) with 1 <= y <= polygon height
                 expected += max(0, int(val))  # floor of a non-negative Fraction
             for deg_phi in (1, 2, 3):

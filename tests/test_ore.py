@@ -11,13 +11,7 @@ from trinogen.newton import MalformedInput
 from trinogen.ore import OreFactorization, PhiData, factor_p, index_bound, polygon_index
 from trinogen.polyring import PolyZ, discriminant, reduce_mod
 
-
-def trinomial_polyz(n, m, a, b) -> PolyZ:
-    coeffs = [0] * (n + 1)
-    coeffs[0] = b
-    coeffs[m] += a
-    coeffs[n] += 1
-    return PolyZ(coeffs)
+from conftest import trinomial_polyz
 
 
 def sympy_irreducible(f: PolyZ) -> bool:
