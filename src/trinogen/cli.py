@@ -223,15 +223,12 @@ def build_report(
     T: Trinomial, v: monogenity.MonogenityVerdict, only_p: int | None = None
 ) -> dict:
     """The full analysis report as a JSON-ready dict (all math ints as strings)."""
-    disc = v.disc
+    disc = T.disc
     bound = monogenity._sf_bound()
     if only_p is not None:
         primes = [only_p]
     else:
-        primes = set()
-        if disc != 0:
-            small, _ = factored(disc, bound)
-            primes |= {p for p, e in small if e >= 2}
+        primes = set(monogenity.square_primes(T))
         if v.p is not None:
             primes.add(v.p)
         if v.alpha is not None:
@@ -429,9 +426,8 @@ def cmd_analyze(args) -> int:
     # The report prints the discriminant in decimal, so one with more digits
     # than Python converts to a string is refused before the verdict's work.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    disc = disc_trinomial(T)
-    if limit and abs(disc) >= 10**limit:
-        print(f"error: the discriminant of {T} has {abs(disc).bit_length()} bits, more "
+    if limit and abs(T.disc) >= 10**limit:
+        print(f"error: the discriminant of {T} has {abs(T.disc).bit_length()} bits, more "
               f"than the {limit} decimal digits a report can print", file=sys.stderr)
         return EXIT_USAGE
     v = verdict(T, assume_irreducible=args.assume_irreducible)

@@ -104,44 +104,20 @@ def strip_p(p: int, t: int) -> StrippedInt:
     return StrippedInt(nu, t)
 
 
-def _divisors(d: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= d:
-        if d % i == 0:
-            out.append(i)
-            if i != d // i:
-                out.append(d // i)
-        i += 1
-    out.sort()
-    return out
-
-
-def _mobius(d: int) -> int:
-    if d == 1:
-        return 1
-    mu = 1
-    i = 2
-    while i * i <= d:
-        if d % i == 0:
-            d //= i
-            if d % i == 0:
-                return 0
-            mu = -mu
-        i += 1
-    if d > 1:
-        mu = -mu
-    return mu
-
-
 def count_monic_irreducibles(p: int, d: int) -> int:
     """Number of monic irreducible degree-d polynomials over F_p.
 
-    Standard Moebius inversion of sum_{e | d} e * N_p(e) = p**d.
+    Moebius inversion of sum_{e | d} e * N_p(e) = p**d.  The Moebius
+    function vanishes off the squarefree divisors, so d * N_p(d) is the sum
+    of (-1)**|S| * p**(d / prod(S)) over the subsets S of the distinct
+    primes of d, which ``factored(d, d + 1)`` lists.
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    total = sum(_mobius(e) * p ** (d // e) for e in _divisors(d))
+    terms = [(1, 1)]  # (sign, product) for each subset of the primes so far
+    for q, _ in factored(d, d + 1)[0]:
+        terms += [(-sign, prod * q) for sign, prod in terms]
+    total = sum(sign * p ** (d // prod) for sign, prod in terms)
     count, rem = divmod(total, d)
     if rem:  # pragma: no cover - would contradict the inversion identity
         raise ArithmeticError("necklace count was not divisible by d")

@@ -112,6 +112,11 @@ class Trinomial:
             return n.bit_length() - 1
         return None
 
+    @functools.cached_property  # writes __dict__ directly, so frozen is fine
+    def disc(self) -> int:
+        """``disc_trinomial(self)``, computed on first read and kept."""
+        return disc_trinomial(self)
+
     def poly(self) -> PolyZ:
         coeffs = [0] * (self.n + 1)
         coeffs[0] = self.b
@@ -291,7 +296,7 @@ class AlphaCert:
     polygon_index: int
 
 
-def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
+def _build_alpha_cert(T: Trinomial, p: int, k: int) -> AlphaCert:
     n = T.n
     F = T.poly()
 
@@ -319,7 +324,7 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     if not _is_eisenstein(H, p):
         raise InternalContradiction("alpha minimal polynomial is not p-Eisenstein")
     bound = _sf_bound()
-    status = squarefree_status(strip_factored(p, disc, bound).unit_part, bound)
+    status = squarefree_status(strip_factored(p, T.disc, bound).unit_part, bound)
     return AlphaCert(
         p=p,
         k=k,
@@ -344,12 +349,11 @@ def check_alpha_generator(T: Trinomial) -> AlphaCert | None:
     gate = [(p, k) for p, k in _one_sided_primes(T) if k >= 2]
     if not gate:
         return None
-    disc = disc_trinomial(T)
-    if disc == 0:
+    if T.disc == 0:
         return None
     fallback: AlphaCert | None = None
     for p, k in gate:
-        cert = _build_alpha_cert(T, p, k, disc)
+        cert = _build_alpha_cert(T, p, k)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
             return cert
         if fallback is None or (
@@ -384,7 +388,7 @@ def check_alpha_generator_pow2(
             raise InternalContradiction(
                 "power-of-two hypotheses failed to imply the general ones"
             )
-        cert = _build_alpha_cert(T, p, k, disc_trinomial(T))
+        cert = _build_alpha_cert(T, p, k)
         if cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
             return True, cert
     return False, None
@@ -476,8 +480,9 @@ class IndexBoundEntry:
 class MonogenityVerdict:
     """Typed outcome with every piece of evidence needed to re-check it.
 
-    ``index_bounds`` is () except on an Inconclusive verdict that reached
-    the bound stage.  There it holds the exact polygon index bounds, taken
+    The discriminant is ``trinomial.disc``.  ``index_bounds`` is () except
+    on an Inconclusive verdict that reached the bound stage.  There it
+    holds the exact polygon index bounds at ``square_primes``, taken
     from ``computed_bounds`` when ``verdict`` already computed them, and
     otherwise computed on first read and kept.  That read can raise
     ``InternalContradiction``.
@@ -485,7 +490,6 @@ class MonogenityVerdict:
 
     trinomial: Trinomial
     kind: VerdictKind
-    disc: int
     irreducibility: IrreducibilityCertificate | None
     irreducibility_assumed: bool
     trail: tuple[str, ...]
@@ -507,37 +511,44 @@ class MonogenityVerdict:
         if self.computed_bounds is not None:
             return self.computed_bounds
         bounds, _ = _inconclusive_bounds(
-            self.trinomial, self.disc, certified=self.irreducibility is not None
+            self.trinomial, certified=self.irreducibility is not None
         )
         return bounds
 
 
+def square_primes(T: Trinomial) -> list[int]:
+    """The primes p below the squarefree bound with p**2 | disc, ascending;
+    none when disc = 0.  A report and the index bounds read these."""
+    if T.disc == 0:
+        return []
+    small, _ = factored(T.disc, _sf_bound())
+    return [p for p, e in small if e >= 2]
+
+
 def _inconclusive_bounds(
-    T: Trinomial, disc: int, certified: bool
+    T: Trinomial, certified: bool
 ) -> tuple[tuple[IndexBoundEntry, ...], str | None]:
-    """Exact polygon index bounds at the small primes with nu_p(disc) >= 2.
+    """Exact polygon index bounds at the primes of ``square_primes(T)``.
 
     Returns the bound entries plus a reducibility proof message when the
     engine detects an exact rational factor along the way.  With a real
     irreducibility certificate in hand such a detection is impossible, so
     it is escalated to an internal error instead of being reported.
     """
-    small, _ = factored(disc, _sf_bound())
     entries = []
     proof: str | None = None
-    for p, e in small:
-        if e >= 2:
-            try:
-                bound, exact = ore.index_bound(T.poly(), p)
-            except MalformedInput as exc:
-                if certified:
-                    raise InternalContradiction(
-                        "irreducibility was certified but the engine found "
-                        f"a rational factor: {exc}"
-                    ) from exc
-                proof = str(exc)
-                continue
-            entries.append(IndexBoundEntry(p=p, bound=bound, exact=exact))
+    for p in square_primes(T):
+        try:
+            bound, exact = ore.index_bound(T.poly(), p)
+        except MalformedInput as exc:
+            if certified:
+                raise InternalContradiction(
+                    "irreducibility was certified but the engine found "
+                    f"a rational factor: {exc}"
+                ) from exc
+            proof = str(exc)
+            continue
+        entries.append(IndexBoundEntry(p=p, bound=bound, exact=exact))
     return tuple(entries), proof
 
 
@@ -553,7 +564,6 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
     A certified input's bounds cannot change the verdict, so they are left
     to the first read of ``index_bounds``.
     """
-    disc = disc_trinomial(T)
     trail: list[str] = []
     irr: IrreducibilityCertificate | None = None
 
@@ -561,14 +571,13 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
         return MonogenityVerdict(
             trinomial=T,
             kind=kind,
-            disc=disc,
             irreducibility=irr,
             irreducibility_assumed=assume_irreducible and irr is None,
             trail=tuple(trail),
             **evidence,
         )
 
-    if disc == 0:
+    if T.disc == 0:
         trail.append("zero-discriminant")
         return result(
             VerdictKind.INCONCLUSIVE,
@@ -642,7 +651,7 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
 
     bounds = None
     if irr is None:
-        bounds, reducibility_proof = _inconclusive_bounds(T, disc, certified=False)
+        bounds, reducibility_proof = _inconclusive_bounds(T, certified=False)
         if reducibility_proof is not None:
             trail.append("assumption-contradicted")
             return result(

@@ -594,32 +594,13 @@ class FqField:
         return tuple(rem)
 
     def inv(self, a):
-        p = self.p
+        """a**(q-2), which is 1/a by Fermat: a**(q-1) = 1 for a != 0 in F_q."""
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.deg == 1:
-            return pow(a, -1, p)
-        # extended Euclid in F_p[t] against the modulus
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, r2 = _digits_divmod(r0, r1, p)
-            # s2 = s0 - q*s1
-            prod = [0] * (len(q) + len(s1))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            s2 = [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(max(len(s0), len(prod)))]
-            s2 = [c % p for c in s2]
-            r0, r1 = r1, r2
-            s0, s1 = s1, s2
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:  # pragma: no cover - modulus is irreducible
-            raise ArithmeticError("gcd with irreducible modulus was not constant")
-        c = pow(r0[0], -1, p)
-        return self.elem([x * c for x in s0])
+        r = self.pow(a, self.order - 2)
+        if self.mul(a, r) != self.one:  # pragma: no cover - modulus is irreducible
+            raise ArithmeticError("Fermat inverse failed: the modulus is not irreducible")
+        return r
 
     def pow(self, a, e: int):
         if e < 0:
@@ -762,10 +743,6 @@ class FqPoly:
             p = fld.p
             return FqPoly(fld, [(x - y) % p for x, y in pairs])
         return FqPoly(fld, [fld.sub(x, y) for x, y in pairs])
-
-    def __neg__(self) -> "FqPoly":
-        fld = self.field
-        return FqPoly(fld, [fld.neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)

@@ -572,8 +572,9 @@ def recording_pools(monkeypatch):
     ],
 )
 def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
-    divided, analysed, computed = Counter(), Counter(), Counter()
+    divided, analysed, computed, discs = Counter(), Counter(), Counter(), Counter()
     trial_factor, factor_p, fq_factor = exactnum.trial_factor, ore.factor_p, ffactor._factor
+    disc_trinomial = monogenity.disc_trinomial
 
     def counting_trial_factor(t, bound):
         divided[abs(t), bound] += 1
@@ -587,6 +588,10 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         computed[f] += 1
         return fq_factor(f, seed)
 
+    def counting_disc_trinomial(T):
+        discs[T] += 1
+        return disc_trinomial(T)
+
     # Replace each function under every name a trinogen module holds it by.
     for name, module in list(sys.modules.items()):
         if name.startswith("trinogen"):
@@ -597,6 +602,8 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
                     monkeypatch.setattr(module, attr, counting_factor_p)
                 elif value is fq_factor:
                     monkeypatch.setattr(module, attr, counting_fq_factor)
+                elif value is disc_trinomial:
+                    monkeypatch.setattr(module, attr, counting_disc_trinomial)
     # A second run of the same command computes the same facts again, once.
     for run in (1, 2):
         code, _, _ = run_cli(capsys, "analyze", "--json", *argv)
@@ -604,6 +611,7 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         assert divided and set(divided.values()) == {run}, divided
         assert analysed and set(analysed.values()) == {run}, analysed
         assert computed and set(computed.values()) == {run}, computed
+        assert len(discs) == 1 and set(discs.values()) == {run}, discs
 
 
 def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
@@ -757,7 +765,7 @@ def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
         # The verdict left the bounds to the report.
         assert v.computed_bounds is None and "index_bounds" not in vars(v)
         lazy = build_report(T, v)
-        bounds, proof = monogenity._inconclusive_bounds(T, v.disc, certified=True)
+        bounds, proof = monogenity._inconclusive_bounds(T, certified=True)
         assert proof is None
         eager = build_report(T, dataclasses.replace(v, computed_bounds=bounds))
         assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)

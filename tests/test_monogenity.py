@@ -649,7 +649,7 @@ class TestVerdictPipeline:
         assert v.p == 2
         assert v.alpha is not None and v.alpha.H == ALPHA_H_8_1_8_8
         assert v.congruence is None and v.splitting is None
-        assert v.disc == 2**24 * 1273609
+        assert v.trinomial.disc == 2**24 * 1273609
         assert not v.irreducibility_assumed
 
     def test_poly_not_monogenic_high_m(self):
@@ -661,8 +661,8 @@ class TestVerdictPipeline:
             "stripped-discriminant-squarefree(p=2)",
         )
         assert (v.alpha.x, v.alpha.y) == (11, 2)
-        assert valp(2, v.disc) == 90
-        assert strip_p(2, v.disc).unit_part == -18849896126829437255335087
+        assert valp(2, v.trinomial.disc) == 90
+        assert strip_p(2, v.trinomial.disc).unit_part == -18849896126829437255335087
 
     def test_conditional_verdict(self):
         v = verdict(Trinomial(16, 1, 8, 56))
@@ -726,14 +726,14 @@ class TestVerdictPipeline:
         v = verdict(Trinomial(2, 1, 2, 1))
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("zero-discriminant",)
-        assert v.disc == 0
+        assert v.trinomial.disc == 0
         assert "repeated roots" in v.reason
 
     def test_uncertified_stops_early(self):
         v = verdict(Trinomial(2, 1, 1, -1))
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("irreducibility-not-certified",)
-        assert v.disc == 5
+        assert v.trinomial.disc == 5
 
     def test_assumed_inconclusive_with_bounds(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
@@ -765,9 +765,9 @@ class TestVerdictPipeline:
         calls = []
         real = monogenity._inconclusive_bounds
 
-        def counting(T, disc, certified):
+        def counting(T, certified):
             calls.append(certified)
-            return real(T, disc, certified)
+            return real(T, certified)
 
         monkeypatch.setattr(monogenity, "_inconclusive_bounds", counting)
         return calls
@@ -799,14 +799,14 @@ class TestVerdictPipeline:
     def test_index_bounds_bound_valuation(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
         for entry in v.index_bounds:
-            assert valp(entry.p, v.disc) >= 2 * entry.bound
+            assert valp(entry.p, v.trinomial.disc) >= 2 * entry.bound
 
     def test_alias_and_determinism(self):
         assert analyze_trinomial is verdict
         T = Trinomial(8, 1, 12, 3)
         v1, v2 = verdict(T), verdict(T)
         assert v1.kind is v2.kind and v1.trail == v2.trail
-        assert v1.alpha == v2.alpha and v1.disc == v2.disc
+        assert v1.alpha == v2.alpha and v1.trinomial.disc == v2.trinomial.disc
 
     def test_every_verdict_carries_disc_and_trail(self, rng):
         kinds = set()
@@ -819,7 +819,7 @@ class TestVerdictPipeline:
             v = verdict(T)
             kinds.add(v.kind)
             assert v.trinomial == T
-            assert v.disc == disc_trinomial(T)
+            assert v.trinomial.disc == disc_trinomial(T)
             assert len(v.trail) >= 1
             if v.kind is not VerdictKind.INCONCLUSIVE:
                 assert v.irreducibility is not None or v.irreducibility_assumed

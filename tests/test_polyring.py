@@ -362,6 +362,19 @@ class TestFqField:
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.mul(a, b) == F.mul(b, a)
 
+    @pytest.mark.parametrize(
+        "p, modulus",
+        [(2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (5, (2, 0, 1))],
+        ids=["F_8", "F_16", "F_25"],
+    )
+    def test_inverses(self, p, modulus):
+        F = get_field(p, modulus)
+        for k in range(1, F.order):
+            a = F.from_int(k)
+            assert F.mul(a, F.inv(a)) == F.one
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
+
     def test_packed_int_round_trip(self):
         F = get_field(3, (1, 0, 1))
         for k in range(F.order):
