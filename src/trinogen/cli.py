@@ -185,7 +185,7 @@ def _alpha_dict(cert: monogenity.AlphaCert) -> dict:
     }
 
 
-def _verdict_dict(v: monogenity.MonogenityVerdict) -> dict:
+def _verdict_dict(v: monogenity.MonogenityVerdict, bounds: list[dict]) -> dict:
     out: dict = {
         "kind": v.kind.value,
         "trail": list(v.trail),
@@ -211,24 +211,26 @@ def _verdict_dict(v: monogenity.MonogenityVerdict) -> dict:
             "primes_with_f_d": str(v.cid_count),
             "available_irreducibles": str(v.cid_available),
         }
-    bounds = v.index_bounds
     if bounds:
-        out["index_bounds"] = [
-            {"p": str(e.p), "bound": str(e.bound), "exact": e.exact} for e in bounds
-        ]
+        out["index_bounds"] = bounds
     return out
 
 
 def build_report(
     T: Trinomial, v: monogenity.MonogenityVerdict, only_p: int | None = None
 ) -> dict:
-    """The full analysis report as a JSON-ready dict (all math ints as strings)."""
-    disc = T.disc
-    bound = monogenity._sf_bound()
+    """The full analysis report as a JSON-ready dict (all math ints as strings).
+
+    The discriminant, the squarefree bound and the splittings the verdict
+    built are read off the verdict; each splitting it lacks is built here
+    once, and both the evidence and the index bounds are read from them.
+    """
+    disc, bound = v.disc, v.sf_bound
+    square = monogenity.square_primes(disc, bound)
     if only_p is not None:
         primes = [only_p]
     else:
-        primes = set(monogenity.square_primes(T))
+        primes = set(square)
         if v.p is not None:
             primes.add(v.p)
         if v.alpha is not None:
@@ -249,14 +251,36 @@ def build_report(
             }
         )
 
+    F = T.poly()
+    splittings = dict(v.splittings)
+
+    def splitting(p: int) -> ore.OreFactorization | str:
+        if p not in splittings:
+            splittings[p] = monogenity._splitting(F, p)
+        return splittings[p]
+
     evidence = []
     for p in primes:
-        try:
-            fact = ore.shared_factor_p(T.poly(), p)
-        except MalformedInput as exc:
-            evidence.append({"p": str(p), "error": str(exc)})
+        fact = splitting(p)
+        evidence.append(
+            {"p": str(p), "error": fact} if isinstance(fact, str) else _splitting_dict(fact)
+        )
+
+    bounds = []
+    for p in square if v.reached_bounds else ():
+        fact = splitting(p)
+        if isinstance(fact, str):
+            # An assumed input's verdict already answered with this
+            # contradiction; a certified one cannot have a rational factor.
+            if v.irreducibility is not None:
+                raise monogenity.InternalContradiction(
+                    "irreducibility was certified but the engine found "
+                    f"a rational factor: {fact}"
+                )
             continue
-        evidence.append(_splitting_dict(fact))
+        bounds.append(
+            {"p": str(p), "bound": str(fact.index_lower_bound), "exact": fact.regular}
+        )
 
     return {
         "schema": SCHEMA_VERSION,
@@ -275,7 +299,7 @@ def build_report(
             "primes": disc_primes,
         },
         "evidence": evidence,
-        "verdict": _verdict_dict(v),
+        "verdict": _verdict_dict(v, bounds),
     }
 
 
@@ -425,12 +449,13 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     # The report prints the discriminant in decimal, so one with more digits
     # than Python converts to a string is refused before the verdict's work.
+    disc = disc_trinomial(T)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(T.disc) >= 10**limit:
-        print(f"error: the discriminant of {T} has {abs(T.disc).bit_length()} bits, more "
+    if limit and abs(disc) >= 10**limit:
+        print(f"error: the discriminant of {T} has {abs(disc).bit_length()} bits, more "
               f"than the {limit} decimal digits a report can print", file=sys.stderr)
         return EXIT_USAGE
-    v = verdict(T, assume_irreducible=args.assume_irreducible)
+    v = verdict(T, assume_irreducible=args.assume_irreducible, disc=disc)
     report = build_report(T, v, only_p=args.p)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -638,7 +663,7 @@ def _pow2_16():
 
 
 def _at_2(F: PolyZ) -> ore.OreFactorization:
-    return ore.shared_factor_p(F, 2)
+    return ore.factor_p(F, 2)
 
 
 def _shapes(fact: ore.OreFactorization) -> list[tuple[int, int]]:
@@ -799,7 +824,6 @@ def main(argv: list[str] | None = None) -> int:
     # Pool workers start from these emptied memos and fill their own.
     exactnum.FACTORIZATIONS.clear()
     ffactor.FACTORIZATIONS.clear()
-    ore.SPLITTINGS.clear()
     # Looked up when called, so a command rebound in this module (by a test
     # or a tracer) is the one that runs.
     command = globals()[f"cmd_{args.command}"]

@@ -31,9 +31,8 @@ class NotCoprime(ValueError):
 class Infinity:
     """The valuation of zero.
 
-    Compares strictly above every integer and absorbs addition, though the
-    package itself never orders or adds it: it tests a valuation with
-    ``is INFINITY``, and INFINITY equals no integer.  A single shared
+    The package tests a valuation with ``is INFINITY`` and never orders or
+    adds it; INFINITY equals only itself, no integer.  A single shared
     instance is exposed as :data:`INFINITY`.
     """
 
@@ -43,23 +42,6 @@ class Infinity:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __add__(self, other: object) -> "Infinity":
-        return self
-
-    __radd__ = __add__
 
     def __repr__(self) -> str:
         return "INFINITY"

@@ -16,8 +16,13 @@ machine-checkable evidence:
   squarefree test on the stripped discriminant was inconclusive.
 * ``Inconclusive``: no criterion applied; exact polygon index bounds for
   the small primes with nu_p(disc) >= 2 are attached as partial data.  For
-  a certified-irreducible input they cannot change the verdict, so they are
-  computed when first read: a report reads them, a scan row does not.
+  a certified-irreducible input they cannot change the verdict, so the
+  verdict leaves them to the report, which builds the splittings they are
+  read from; a scan row builds none.
+
+A verdict is the one record of what was learnt about its trinomial: the
+discriminant, the squarefree bound in force, and every splitting the
+verdict itself built, each computed once.
 
 Everything is exact integer arithmetic; nothing is sampled or approximated.
 """
@@ -25,7 +30,6 @@ Everything is exact integer arithmetic; nothing is sampled or approximated.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -111,11 +115,6 @@ class Trinomial:
         if n & (n - 1) == 0:
             return n.bit_length() - 1
         return None
-
-    @functools.cached_property  # writes __dict__ directly, so frozen is fine
-    def disc(self) -> int:
-        """``disc_trinomial(self)``, computed on first read and kept."""
-        return disc_trinomial(self)
 
     def poly(self) -> PolyZ:
         coeffs = [0] * (self.n + 1)
@@ -213,7 +212,7 @@ def _candidate_primes(T: Trinomial, bound: int) -> list[int]:
     return out
 
 
-def _one_sided_primes(T: Trinomial) -> list[tuple[int, int]]:
+def _one_sided_primes(T: Trinomial, bound: int) -> list[tuple[int, int]]:
     """The one-sided gate: (p, k = nu_p(b)) at candidate primes, ascending.
 
     A prime passes where the phi = x polygon of F at p is one side of
@@ -224,7 +223,7 @@ def _one_sided_primes(T: Trinomial) -> list[tuple[int, int]]:
     """
     n, m, a = T.n, T.m, T.a
     out = []
-    for p in _candidate_primes(T, _sf_bound()):
+    for p in _candidate_primes(T, bound):
         k = valp(p, T.b)
         if math.gcd(n, k) == 1 and (a == 0 or n * valp(p, a) > (n - m) * k):
             out.append((p, k))
@@ -242,15 +241,18 @@ def _one_sided_polygon(F: PolyZ, p: int) -> newton.PrincipalPolygon:
     return polygon
 
 
-def irreducibility_certificate(T: Trinomial) -> IrreducibilityCertificate | None:
+def irreducibility_certificate(
+    T: Trinomial, gate: list[tuple[int, int]] | None = None
+) -> IrreducibilityCertificate | None:
     """Certify irreducibility over Q, or return None (never claims reducibility).
 
     The certificate is the first prime of the one-sided gate
-    (``_one_sided_primes``): "eisenstein" when nu_p(b) = 1, else
-    "one_sided_polygon".  Either claim is re-verified on the actual
-    polynomial before returning.
+    (``_one_sided_primes``, computed here unless passed in): "eisenstein"
+    when nu_p(b) = 1, else "one_sided_polygon".  Either claim is re-verified
+    on the actual polynomial before returning.
     """
-    gate = _one_sided_primes(T)
+    if gate is None:
+        gate = _one_sided_primes(T, _sf_bound())
     if not gate:
         return None
     p, k = gate[0]
@@ -296,7 +298,7 @@ class AlphaCert:
     polygon_index: int
 
 
-def _build_alpha_cert(T: Trinomial, p: int, k: int) -> AlphaCert:
+def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int, bound: int) -> AlphaCert:
     n = T.n
     F = T.poly()
 
@@ -323,8 +325,7 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int) -> AlphaCert:
         raise InternalContradiction("alpha minimal polynomial has wrong shape")
     if not _is_eisenstein(H, p):
         raise InternalContradiction("alpha minimal polynomial is not p-Eisenstein")
-    bound = _sf_bound()
-    status = squarefree_status(strip_factored(p, T.disc, bound).unit_part, bound)
+    status = squarefree_status(strip_factored(p, disc, bound).unit_part, bound)
     return AlphaCert(
         p=p,
         k=k,
@@ -337,7 +338,12 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int) -> AlphaCert:
     )
 
 
-def check_alpha_generator(T: Trinomial) -> AlphaCert | None:
+def check_alpha_generator(
+    T: Trinomial,
+    gate: list[tuple[int, int]] | None = None,
+    disc: int | None = None,
+    bound: int | None = None,
+) -> AlphaCert | None:
     """Find a prime p where alpha = theta**x / p**y provably generates Z_K.
 
     The primes tried are those of the one-sided gate (``_one_sided_primes``)
@@ -345,15 +351,23 @@ def check_alpha_generator(T: Trinomial) -> AlphaCert | None:
     p-Eisenstein.  The first whose stripped discriminant is certified
     squarefree wins; failing that, the first with an Unknown status; a
     NotSquareFree status is reported only when no better prime exists.
+    ``verdict`` passes in the gate, the discriminant and the squarefree
+    bound it already holds; whatever is omitted is computed here.
     """
-    gate = [(p, k) for p, k in _one_sided_primes(T) if k >= 2]
+    if bound is None:
+        bound = _sf_bound()
+    if gate is None:
+        gate = _one_sided_primes(T, bound)
+    gate = [(p, k) for p, k in gate if k >= 2]
     if not gate:
         return None
-    if T.disc == 0:
+    if disc is None:
+        disc = disc_trinomial(T)
+    if disc == 0:
         return None
     fallback: AlphaCert | None = None
     for p, k in gate:
-        cert = _build_alpha_cert(T, p, k)
+        cert = _build_alpha_cert(T, p, k, disc, bound)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
             return cert
         if fallback is None or (
@@ -373,22 +387,19 @@ def check_alpha_generator_pow2(
     odd and the stripped discriminant not proved to have a square factor
     (status SquareFree or Unknown).  Those hypotheses put p in the one-sided
     gate (gcd(2**r, odd) = 1 and 2**r * nu_p(a) >= 2**r * nu_p(b) >
-    (2**r - m) * nu_p(b)); that implication is rechecked, and the
-    certificate is built at p.
+    (2**r - m) * nu_p(b)), so the primes tried are the gate's primes that
+    meet them, and the certificate is built at p.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     T = Trinomial(n=2**r, m=m, a=a, b=b)
-    gate = {p for p, _ in _one_sided_primes(T)}
-    for p in _candidate_primes(T, _sf_bound()):
-        k = valp(p, b)
-        if k < 3 or k % 2 == 0 or (a != 0 and valp(p, a) < k):
+    bound = _sf_bound()
+    disc = disc_trinomial(T)
+    # The gate's gcd(2**r, k) = 1 already makes k odd.
+    for p, k in _one_sided_primes(T, bound):
+        if k < 3 or (a != 0 and valp(p, a) < k):
             continue
-        if p not in gate:
-            raise InternalContradiction(
-                "power-of-two hypotheses failed to imply the general ones"
-            )
-        cert = _build_alpha_cert(T, p, k)
+        cert = _build_alpha_cert(T, p, k, disc, bound)
         if cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
             return True, cert
     return False, None
@@ -470,22 +481,19 @@ class VerdictKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IndexBoundEntry:
-    p: int
-    bound: int
-    exact: bool
-
-
-@dataclass(frozen=True)
 class MonogenityVerdict:
     """Typed outcome with every piece of evidence needed to re-check it.
 
-    The discriminant is ``trinomial.disc``.  ``index_bounds`` is () except
-    on an Inconclusive verdict that reached the bound stage.  There it
-    holds the exact polygon index bounds at ``square_primes``, taken
-    from ``computed_bounds`` when ``verdict`` already computed them, and
-    otherwise computed on first read and kept.  That read can raise
-    ``InternalContradiction``.
+    It is also the one record of what the verdict computed about its
+    trinomial, so a report reads these facts instead of computing them
+    again: ``disc`` is disc(F), and ``sf_bound`` is the squarefree bound
+    read when the verdict began.  ``splittings`` maps each prime at which
+    the verdict built the splitting to ``ore.factor_p``'s result, or to the
+    message of the ``MalformedInput`` it raised.  Those primes are 2 for a
+    congruence screen, and ``square_primes`` when irreducibility is only
+    assumed and no criterion applied.  ``reached_bounds`` marks an
+    Inconclusive verdict whose report lists the index bounds at
+    ``square_primes``; for a certified input the report builds them.
     """
 
     trinomial: Trinomial
@@ -493,6 +501,9 @@ class MonogenityVerdict:
     irreducibility: IrreducibilityCertificate | None
     irreducibility_assumed: bool
     trail: tuple[str, ...]
+    disc: int
+    sf_bound: int
+    splittings: dict[int, OreFactorization | str]
     p: int | None = None
     alpha: AlphaCert | None = None
     congruence: CongruenceWitness | None = None
@@ -501,70 +512,50 @@ class MonogenityVerdict:
     cid_count: int | None = None
     cid_available: int | None = None
     reason: str | None = None
-    # None defers the bounds to the first read of index_bounds.
-    computed_bounds: tuple[IndexBoundEntry, ...] | None = ()
-
-    # A cached_property writes the instance __dict__ directly, so it works on
-    # this frozen dataclass.
-    @functools.cached_property
-    def index_bounds(self) -> tuple[IndexBoundEntry, ...]:
-        if self.computed_bounds is not None:
-            return self.computed_bounds
-        bounds, _ = _inconclusive_bounds(
-            self.trinomial, certified=self.irreducibility is not None
-        )
-        return bounds
+    reached_bounds: bool = False
 
 
-def square_primes(T: Trinomial) -> list[int]:
-    """The primes p below the squarefree bound with p**2 | disc, ascending;
-    none when disc = 0.  A report and the index bounds read these."""
-    if T.disc == 0:
+def square_primes(disc: int, bound: int) -> list[int]:
+    """The primes p below ``bound`` with p**2 | disc, ascending; none when
+    disc = 0.  A report's evidence and index bounds are read at these."""
+    if disc == 0:
         return []
-    small, _ = factored(T.disc, _sf_bound())
+    small, _ = factored(disc, bound)
     return [p for p, e in small if e >= 2]
 
 
-def _inconclusive_bounds(
-    T: Trinomial, certified: bool
-) -> tuple[tuple[IndexBoundEntry, ...], str | None]:
-    """Exact polygon index bounds at the primes of ``square_primes(T)``.
-
-    Returns the bound entries plus a reducibility proof message when the
-    engine detects an exact rational factor along the way.  With a real
-    irreducibility certificate in hand such a detection is impossible, so
-    it is escalated to an internal error instead of being reported.
-    """
-    entries = []
-    proof: str | None = None
-    for p in square_primes(T):
-        try:
-            bound, exact = ore.index_bound(T.poly(), p)
-        except MalformedInput as exc:
-            if certified:
-                raise InternalContradiction(
-                    "irreducibility was certified but the engine found "
-                    f"a rational factor: {exc}"
-                ) from exc
-            proof = str(exc)
-            continue
-        entries.append(IndexBoundEntry(p=p, bound=bound, exact=exact))
-    return tuple(entries), proof
+def _splitting(F: PolyZ, p: int) -> OreFactorization | str:
+    """``ore.factor_p(F, p)``, or the message of the ``MalformedInput`` it
+    raised: a rational factor found on the way is evidence, not a crash."""
+    try:
+        return ore.factor_p(F, p)
+    except MalformedInput as exc:
+        return str(exc)
 
 
-def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict:
+def verdict(
+    T: Trinomial, assume_irreducible: bool = False, *, disc: int | None = None
+) -> MonogenityVerdict:
     """Run the full certificate pipeline on one trinomial.
 
     Congruence screens are confirmed by the polygon engine before any
     field-level claim; the alpha construction downgrades to a conditional
     verdict when the squarefree test is inconclusive; everything else
     falls through to Inconclusive with partial index data attached.  When
-    irreducibility is only assumed, the index bounds are computed here,
-    since a rational factor found on the way contradicts the assumption.
-    A certified input's bounds cannot change the verdict, so they are left
-    to the first read of ``index_bounds``.
+    irreducibility is only assumed, the splittings behind the index bounds
+    are built here, since a rational factor found on the way contradicts
+    the assumption.  A certified input's bounds cannot change the verdict,
+    so they are left to the report.
+
+    The squarefree bound, the discriminant and the one-sided gate are each
+    computed once and handed to the criteria.  ``disc`` is for a caller
+    that already computed ``disc_trinomial(T)``.
     """
+    bound = _sf_bound()
+    if disc is None:
+        disc = disc_trinomial(T)
     trail: list[str] = []
+    splittings: dict[int, OreFactorization | str] = {}
     irr: IrreducibilityCertificate | None = None
 
     def result(kind: VerdictKind, **evidence) -> MonogenityVerdict:
@@ -574,16 +565,20 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
             irreducibility=irr,
             irreducibility_assumed=assume_irreducible and irr is None,
             trail=tuple(trail),
+            disc=disc,
+            sf_bound=bound,
+            splittings=splittings,
             **evidence,
         )
 
-    if T.disc == 0:
+    if disc == 0:
         trail.append("zero-discriminant")
         return result(
             VerdictKind.INCONCLUSIVE,
             reason="discriminant is zero: the trinomial has repeated roots",
         )
-    irr = irreducibility_certificate(T)
+    gate = _one_sided_primes(T, bound)
+    irr = irreducibility_certificate(T, gate)
     if irr is not None:
         trail.append(f"irreducible({irr.route}, p={irr.p})")
     elif assume_irreducible:
@@ -601,12 +596,11 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
         witness = check_congruence_obstruction(r, T.a, T.b)
         if witness is not None:
             trail.append(f"congruence-screen({witness.case.value})")
-            problem = None
-            try:
-                fact = ore.shared_factor_p(T.poly(), 2)
-            except MalformedInput as exc:
-                problem = str(exc)
+            fact = splittings[2] = _splitting(T.poly(), 2)
+            if isinstance(fact, str):
+                problem = fact
             else:
+                problem = None
                 p1 = sum(1 for f in fact.factors if f.f == 1)
                 if not fact.regular:
                     problem = "the polygon data at 2 is not regular"
@@ -638,7 +632,7 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
                 cid_available=count_monic_irreducibles(2, 1),
             )
 
-    alpha = check_alpha_generator(T)
+    alpha = check_alpha_generator(T, gate, disc, bound)
     if alpha is not None and alpha.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
         trail.append(f"alpha-generator(p={alpha.p}, x={alpha.x}, y={alpha.y})")
         if alpha.deltap_status is SquarefreeStatus.SQUARE_FREE:
@@ -649,22 +643,23 @@ def verdict(T: Trinomial, assume_irreducible: bool = False) -> MonogenityVerdict
             trail.append(f"stripped-discriminant-unresolved(p={alpha.p})")
         return result(kind, p=alpha.p, alpha=alpha)
 
-    bounds = None
     if irr is None:
-        bounds, reducibility_proof = _inconclusive_bounds(T, certified=False)
-        if reducibility_proof is not None:
+        F = T.poly()
+        for p in square_primes(disc, bound):
+            splittings[p] = _splitting(F, p)
+        errors = [s for s in splittings.values() if isinstance(s, str)]
+        if errors:
             trail.append("assumption-contradicted")
             return result(
                 VerdictKind.INCONCLUSIVE,
-                reason="irreducibility was assumed but could not hold: "
-                + reducibility_proof,
-                computed_bounds=bounds,
+                reason="irreducibility was assumed but could not hold: " + errors[-1],
+                reached_bounds=True,
             )
     trail.append("no-criterion-applied")
     return result(
         VerdictKind.INCONCLUSIVE,
         reason="no implemented criterion covers this trinomial",
-        computed_bounds=bounds,
+        reached_bounds=True,
     )
 
 

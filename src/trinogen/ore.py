@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffactor, newton
-from .exactnum import INFINITY, Memo, is_probable_prime
+from .exactnum import INFINITY, is_probable_prime
 from .ffactor import FqFactorization
 from .newton import MalformedInput, PrincipalPolygon, Side
 from .polyring import FqPoly, PolyZ, phi_expand, reduce_mod
@@ -171,51 +171,22 @@ def factor_p(F: PolyZ, p: int) -> OreFactorization:
     )
 
 
-# factor_p results keyed by (F, p), or the message of the MalformedInput it
-# raised.  The verdict's screen confirmation, the report's evidence and the
-# report's index bounds all ask for the same analysis.
-SPLITTINGS = Memo(16)
-
-
-def shared_factor_p(F: PolyZ, p: int) -> OreFactorization:
-    """``factor_p(F, p)``, shared through SPLITTINGS; the result is frozen.
-
-    A ``MalformedInput`` is shared as its message and raised again from it.
-    """
-    key = (F, p)
-    hit = SPLITTINGS.get(key)
-    if hit is None:
-        try:
-            hit = SPLITTINGS.put(key, factor_p(F, p))
-        except MalformedInput as exc:
-            hit = SPLITTINGS.put(key, str(exc))
-    if isinstance(hit, str):
-        raise MalformedInput(hit)
-    return hit
-
-
 def index_bound(F: PolyZ, p: int) -> tuple[int, bool]:
     """(sum of polygon indices at p, whether the bound is exact).
 
     The bound is exact precisely when F is p-regular.
     """
-    result = shared_factor_p(F, p)
+    result = factor_p(F, p)
     return result.index_lower_bound, result.regular
 
 
 def polygon_index(F: PolyZ, p: int) -> int:
     """``factor_p(F, p).index_lower_bound``, read from the polygons alone.
 
-    This is Ore's sum of ind_phi(F) over the factors phi of F mod p.  A
-    splitting already in SPLITTINGS is read, or its ``MalformedInput``
-    raised again; otherwise no residual polynomial is built and nothing is
-    stored.  Raises the ``MalformedInput`` that ``factor_p`` would raise.
+    This is Ore's sum of ind_phi(F) over the factors phi of F mod p; no
+    residual polynomial is built.  Raises the ``MalformedInput`` that
+    ``factor_p`` would raise.
     """
-    hit = SPLITTINGS.get((F, p))
-    if isinstance(hit, str):
-        raise MalformedInput(hit)
-    if hit is not None:
-        return hit.index_lower_bound
     return sum(
         _polygon_stage(F, p, phibar, mult)[3]
         for phibar, mult in _factors_mod_p(F, p)

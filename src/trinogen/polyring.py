@@ -566,12 +566,6 @@ class FqField:
             return (a - b) % p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        if self.deg == 1:
-            return -a % p
-        return tuple(-x % p for x in a)
-
     def smul(self, k: int, a):
         """Integer scalar multiple (used by derivatives)."""
         p = self.p

@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from trinogen import ffactor
-from trinogen.cli import KNOWN_ANSWERS
+from trinogen.cli import KNOWN_ANSWERS, build_report
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.ffactor import factor as fq_factor
 from trinogen.ffactor import is_irreducible as fq_is_irreducible
@@ -377,8 +377,9 @@ class TestScopeBoundary:
         v = verdict(Trinomial(8, 1, 12, 3))
         assert v.cid_degree == 1 and v.cid_count == 3 and v.cid_available == 2
         # ... exact-or-lower index bounds at the bad primes ...
-        v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
-        assert v.index_bounds and all(e.bound >= 1 for e in v.index_bounds)
+        T = Trinomial(4, 1, 4, 4)
+        bounds = build_report(T, verdict(T, assume_irreducible=True))["verdict"]["index_bounds"]
+        assert bounds and all(int(e["bound"]) >= 1 for e in bounds)
         # ... and squarefree statuses that admit honest uncertainty.
         v = verdict(Trinomial(16, 1, 8, 56))
         assert v.alpha.deltap_status is SquarefreeStatus.UNKNOWN

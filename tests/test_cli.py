@@ -573,8 +573,10 @@ def recording_pools(monkeypatch):
 )
 def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
     divided, analysed, computed, discs = Counter(), Counter(), Counter(), Counter()
+    gates, bounds = Counter(), Counter()
     trial_factor, factor_p, fq_factor = exactnum.trial_factor, ore.factor_p, ffactor._factor
     disc_trinomial = monogenity.disc_trinomial
+    one_sided_primes, sf_bound = monogenity._one_sided_primes, monogenity._sf_bound
 
     def counting_trial_factor(t, bound):
         divided[abs(t), bound] += 1
@@ -592,18 +594,29 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         discs[T] += 1
         return disc_trinomial(T)
 
+    def counting_one_sided_primes(T, *args):
+        gates[T] += 1
+        return one_sided_primes(T, *args)
+
+    def counting_sf_bound():
+        bounds["read"] += 1
+        return sf_bound()
+
+    counting = {
+        id(trial_factor): counting_trial_factor,
+        id(factor_p): counting_factor_p,
+        id(fq_factor): counting_fq_factor,
+        id(disc_trinomial): counting_disc_trinomial,
+        id(one_sided_primes): counting_one_sided_primes,
+        id(sf_bound): counting_sf_bound,
+    }
+
     # Replace each function under every name a trinogen module holds it by.
     for name, module in list(sys.modules.items()):
         if name.startswith("trinogen"):
             for attr, value in list(vars(module).items()):
-                if value is trial_factor:
-                    monkeypatch.setattr(module, attr, counting_trial_factor)
-                elif value is factor_p:
-                    monkeypatch.setattr(module, attr, counting_factor_p)
-                elif value is fq_factor:
-                    monkeypatch.setattr(module, attr, counting_fq_factor)
-                elif value is disc_trinomial:
-                    monkeypatch.setattr(module, attr, counting_disc_trinomial)
+                if id(value) in counting:
+                    monkeypatch.setattr(module, attr, counting[id(value)])
     # A second run of the same command computes the same facts again, once.
     for run in (1, 2):
         code, _, _ = run_cli(capsys, "analyze", "--json", *argv)
@@ -612,6 +625,20 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         assert analysed and set(analysed.values()) == {run}, analysed
         assert computed and set(computed.values()) == {run}, computed
         assert len(discs) == 1 and set(discs.values()) == {run}, discs
+        assert len(gates) == 1 and set(gates.values()) == {run}, gates
+        assert bounds["read"] == run, bounds
+
+
+def test_report_uses_the_bound_its_verdict_read(monkeypatch):
+    # disc(x^8 + 12x + 3) = 2^16 * 3^7 * 41 * 89 * 677; a bound of 10 would
+    # leave 41 * 89 * 677 unfactored in the digest.
+    T = Trinomial(8, 1, 12, 3)
+    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
+    v = verdict(T)
+    report = build_report(T, v)
+    monkeypatch.setenv("TRINOGEN_SF_BOUND", "10")
+    assert build_report(T, v) == report
+    assert build_report(T, verdict(T)) != report
 
 
 def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
@@ -694,10 +721,9 @@ M3_BOX = ("--m", "3", "--a-range", "-8:8", "--b-range", "-8:8")
 
 
 def test_scan_rows_compute_no_index_bounds(monkeypatch):
-    ore.SPLITTINGS.clear()  # so the rows that need a splitting build it here
     calls = Counter()
-    for module, name in ((monogenity, "_inconclusive_bounds"), (ore, "index_bound"),
-                         (newton, "residual_poly")):
+    for module, name in ((monogenity, "square_primes"), (ore, "index_bound"),
+                         (ore, "factor_p"), (newton, "residual_poly")):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -707,15 +733,15 @@ def test_scan_rows_compute_no_index_bounds(monkeypatch):
     items += [(3, 3, a, b) for a in range(-8, 9) for b in range(-8, 9)]
     kinds = Counter()
     for item in items:
-        before = calls["residual_poly"]
+        before = calls.copy()
         kind = cli._scan_row(item)["kind"]
         kinds[kind] += 1
         if kind == "Inconclusive":
-            assert calls["residual_poly"] == before, item
-    assert calls["_inconclusive_bounds"] == calls["index_bound"] == 0
+            assert calls == before, item
+    assert calls["square_primes"] == calls["index_bound"] == 0
     # The common-index-divisor rows still build their splittings at 2.
     assert kinds["Inconclusive"] >= 540 and kinds["FieldNotMonogenic"]
-    assert calls["residual_poly"]
+    assert calls["factor_p"] and calls["residual_poly"]
 
 
 @pytest.mark.parametrize("box", [ROADMAP_BOX, M3_BOX])
@@ -723,7 +749,8 @@ def test_scan_rows_compute_no_index_bounds(monkeypatch):
 def test_scan_rows_match_rows_with_bounds_forced(capsys, tmp_path, monkeypatch, box, jobs):
     def forcing_verdict(T, _real=cli.verdict):
         v = _real(T)
-        v.index_bounds  # what every Inconclusive row computed when bounds were eager
+        if v.reached_bounds:
+            build_report(T, v)  # what a report on each Inconclusive row computes
         return v
 
     monkeypatch.setattr(cli, "verdict", forcing_verdict)
@@ -734,7 +761,7 @@ def test_scan_rows_match_rows_with_bounds_forced(capsys, tmp_path, monkeypatch, 
     def forbidden(*args, **kwargs):
         raise AssertionError("a scan row computed index bounds")
 
-    monkeypatch.setattr(monogenity, "_inconclusive_bounds", forbidden)
+    monkeypatch.setattr(monogenity, "square_primes", forbidden)
     monkeypatch.setattr(ore, "index_bound", forbidden)
     assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == forced
 
@@ -763,14 +790,17 @@ def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
     reported = 0
     for T, v in certified_inconclusive(rng, degrees, coprime_m):
         # The verdict left the bounds to the report.
-        assert v.computed_bounds is None and "index_bounds" not in vars(v)
+        assert v.reached_bounds and v.splittings == {}
         lazy = build_report(T, v)
-        bounds, proof = monogenity._inconclusive_bounds(T, certified=True)
-        assert proof is None
-        eager = build_report(T, dataclasses.replace(v, computed_bounds=bounds))
+        square = monogenity.square_primes(v.disc, v.sf_bound)
+        eager = build_report(T, dataclasses.replace(
+            v, splittings={p: ore.factor_p(T.poly(), p) for p in square}))
         assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)
         assert render_text(lazy) == render_text(eager)
-        reported += "index_bounds" in lazy["verdict"]
+        expected = [{"p": str(p), "bound": str(bound), "exact": exact}
+                    for p in square for bound, exact in [ore.index_bound(T.poly(), p)]]
+        assert lazy["verdict"].get("index_bounds", []) == expected
+        reported += bool(expected)
     assert reported
 
 
@@ -779,17 +809,16 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
     T = Trinomial(8, 1, -16, 10)
     v = verdict(T)
     assert v.irreducibility is not None and v.trail[-1] == "no-criterion-applied"
-    assert 3 in {e.p for e in v.index_bounds}
+    assert 3 in monogenity.square_primes(v.disc, v.sf_bound)
     row = mask_runtime([cli._scan_row((3, 1, -16, 10))])
-    ore.SPLITTINGS.clear()
-    shared_factor_p = ore.shared_factor_p
+    factor_p = ore.factor_p
 
     def planted(F, p):
         if p == 3:
             raise MalformedInput("planted rational factor")
-        return shared_factor_p(F, p)
+        return factor_p(F, p)
 
-    monkeypatch.setattr(ore, "shared_factor_p", planted)
+    monkeypatch.setattr(ore, "factor_p", planted)
     assert mask_runtime([cli._scan_row((3, 1, -16, 10))]) == row
     v = verdict(T)
     with pytest.raises(InternalContradiction, match="planted rational factor"):
@@ -800,13 +829,29 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
     assert capsys.readouterr().out == ""
 
 
-def test_main_empties_every_memo(capsys):
+def module_memos():
+    """``("module.NAME", memo)`` for every module-level ``exactnum.Memo``."""
     memos = []
     for info in pkgutil.iter_modules(trinogen.__path__):
         module = importlib.import_module(f"trinogen.{info.name}")
         memos += [(f"{info.name}.{attr}", value) for attr, value in vars(module).items()
                   if isinstance(value, exactnum.Memo)]
-    assert len(memos) >= 3, memos
+    return memos
+
+
+def test_facts_live_in_the_verdict_and_two_memos():
+    # Each fact about one trinomial is kept on its verdict, built per call;
+    # only the memos that share work across trinomials are module-level.
+    package = Path(trinogen.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "cached_property" in path.read_text(encoding="utf-8")] == []
+    assert sorted(name for name, _ in module_memos()) == [
+        "exactnum.FACTORIZATIONS", "ffactor.FACTORIZATIONS"]
+
+
+def test_main_empties_every_memo(capsys):
+    memos = module_memos()
+    assert len(memos) == 2, memos
     stale = object()
     for _, memo in memos:
         memo.put(stale, "stale")

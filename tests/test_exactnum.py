@@ -31,22 +31,10 @@ class TestInfinity:
     def test_singleton(self):
         assert Infinity() is INFINITY
 
-    def test_orders_above_every_int(self):
-        for t in (-10, 0, 7, 10**100):
-            assert INFINITY > t
-            assert INFINITY >= t
-            assert not INFINITY < t
-            assert not INFINITY <= t
-
     def test_compares_equal_to_itself_only(self):
-        assert INFINITY >= INFINITY
-        assert INFINITY <= INFINITY
-        assert not INFINITY > INFINITY
-        assert not INFINITY < INFINITY
-
-    def test_absorbs_addition(self):
-        assert INFINITY + 5 is INFINITY
-        assert 5 + INFINITY is INFINITY
+        assert INFINITY == INFINITY
+        for t in (-10, 0, 7, 10**100):
+            assert INFINITY != t and t != INFINITY
 
 
 class TestValp:

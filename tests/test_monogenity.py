@@ -13,12 +13,12 @@ import random
 import pytest
 import sympy
 
-from trinogen import monogenity
+from trinogen import monogenity, ore
+from trinogen.cli import build_report
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.monogenity import (
     AlphaCert,
     CongruenceCase,
-    IndexBoundEntry,
     SquarefreeStatus,
     Trinomial,
     VerdictKind,
@@ -358,6 +358,52 @@ class TestCheckAlphaGenerator:
         assert check_alpha_generator(Trinomial(2, 1, 2, 1)) is None
 
 
+def alpha_index(T: Trinomial) -> tuple[int, int]:
+    """(p, D) for T's alpha certificate, with D = [Z[theta] : Z[theta**x]]
+    read off D**2 = disc(G) / disc(F) for G = power_charpoly(F, x)."""
+    cert = check_alpha_generator(T)
+    G = power_charpoly(T.poly(), cert.x)
+    square, rem = divmod(discriminant(G), disc_trinomial(T))
+    D = math.isqrt(square)
+    assert rem == 0 and D * D == square
+    return cert.p, D
+
+
+def is_power_of(p: int, D: int) -> bool:
+    while D % p == 0:
+        D //= p
+    return D == 1
+
+
+class TestAlphaIndexRule:
+    """Z[alpha] = Z_K needs D = p**j: a prime q != p dividing D makes
+    Z_(q)[alpha] = Z_(q)[theta**x] a proper subring of Z_(q)[theta]."""
+
+    def test_sound_certificate(self):
+        # x = 7 here, and D is a power of b = 2**7.
+        assert alpha_index(Trinomial(8, 1, 128, 128)) == (2, 2**147)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the alpha route does not test D; for x^8+8x+8 "
+        "D = 7 * 2^21, refuted at q = 7",
+    )
+    def test_refuted_at_7(self):
+        p, D = alpha_index(Trinomial(8, 1, 8, 8))
+        assert is_power_of(p, D)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the alpha route does not test D; for "
+        "x^16+24x^15+8 it is refuted at q = 23, 43, 89, 241 and 2333",
+    )
+    def test_refuted_at_five_primes(self):
+        p, D = alpha_index(Trinomial(16, 15, 24, 8))
+        assert is_power_of(p, D)
+
+
 class TestCheckAlphaGeneratorPow2:
     def test_applies(self):
         ok, cert = check_alpha_generator_pow2(3, 1, 8, 8)
@@ -649,7 +695,7 @@ class TestVerdictPipeline:
         assert v.p == 2
         assert v.alpha is not None and v.alpha.H == ALPHA_H_8_1_8_8
         assert v.congruence is None and v.splitting is None
-        assert v.trinomial.disc == 2**24 * 1273609
+        assert v.disc == 2**24 * 1273609
         assert not v.irreducibility_assumed
 
     def test_poly_not_monogenic_high_m(self):
@@ -661,8 +707,8 @@ class TestVerdictPipeline:
             "stripped-discriminant-squarefree(p=2)",
         )
         assert (v.alpha.x, v.alpha.y) == (11, 2)
-        assert valp(2, v.trinomial.disc) == 90
-        assert strip_p(2, v.trinomial.disc).unit_part == -18849896126829437255335087
+        assert valp(2, v.disc) == 90
+        assert strip_p(2, v.disc).unit_part == -18849896126829437255335087
 
     def test_conditional_verdict(self):
         v = verdict(Trinomial(16, 1, 8, 56))
@@ -726,21 +772,23 @@ class TestVerdictPipeline:
         v = verdict(Trinomial(2, 1, 2, 1))
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("zero-discriminant",)
-        assert v.trinomial.disc == 0
+        assert v.disc == 0
         assert "repeated roots" in v.reason
 
     def test_uncertified_stops_early(self):
         v = verdict(Trinomial(2, 1, 1, -1))
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("irreducibility-not-certified",)
-        assert v.trinomial.disc == 5
+        assert v.disc == 5
 
     def test_assumed_inconclusive_with_bounds(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("irreducible(assumed)", "no-criterion-applied")
-        assert v.irreducibility_assumed
-        assert v.index_bounds == (IndexBoundEntry(p=2, bound=2, exact=False),)
+        assert v.irreducibility_assumed and v.reached_bounds
+        assert [(p, s.index_lower_bound, s.regular) for p, s in v.splittings.items()] == [
+            (2, 2, False)
+        ]
 
     def test_assumption_contradicted_by_engine(self):
         # x^8 + 4x - 5 has the root 1; the screen fires, but the engine's
@@ -760,53 +808,60 @@ class TestVerdictPipeline:
         assert v.congruence is not None
 
     @pytest.fixture
-    def bound_calls(self, monkeypatch):
-        """The ``certified`` argument of each ``_inconclusive_bounds`` call."""
+    def split_calls(self, monkeypatch):
+        """The prime of each ``ore.factor_p`` call."""
         calls = []
-        real = monogenity._inconclusive_bounds
+        real = ore.factor_p
 
-        def counting(T, certified):
-            calls.append(certified)
-            return real(T, certified)
+        def counting(F, p):
+            calls.append(p)
+            return real(F, p)
 
-        monkeypatch.setattr(monogenity, "_inconclusive_bounds", counting)
+        monkeypatch.setattr(ore, "factor_p", counting)
         return calls
 
-    def test_certified_bounds_computed_on_first_read(self, bound_calls):
-        v = verdict(Trinomial(8, 1, -16, 10))
+    def test_certified_bounds_computed_on_first_read(self, split_calls):
+        # The verdict leaves the bounds to the report, which builds each
+        # splitting once for both its evidence and its bounds.
+        T = Trinomial(8, 1, -16, 10)
+        v = verdict(T)
         assert v.trail == ("irreducible(eisenstein, p=2)", "no-criterion-applied")
-        assert bound_calls == []
-        assert v.index_bounds == (
-            IndexBoundEntry(p=2, bound=0, exact=True),
-            IndexBoundEntry(p=3, bound=1, exact=True),
-        )
-        assert v.index_bounds is v.index_bounds
-        assert bound_calls == [True]
+        assert v.reached_bounds and v.splittings == {} and split_calls == []
+        assert build_report(T, v)["verdict"]["index_bounds"] == [
+            {"p": "2", "bound": "0", "exact": True},
+            {"p": "3", "bound": "1", "exact": True},
+        ]
+        assert split_calls == [2, 3]
 
-    def test_assumed_bounds_computed_by_the_verdict(self, bound_calls):
-        v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
-        assert bound_calls == [False]
-        assert v.index_bounds == (IndexBoundEntry(p=2, bound=2, exact=False),)
-        assert bound_calls == [False]
+    def test_assumed_bounds_computed_by_the_verdict(self, split_calls):
+        T = Trinomial(4, 1, 4, 4)
+        v = verdict(T, assume_irreducible=True)
+        assert split_calls == [2]
+        report = build_report(T, v)
+        assert report["verdict"]["index_bounds"] == [{"p": "2", "bound": "2", "exact": False}]
+        assert report["evidence"][0]["index_lower_bound"] == "2"
+        assert split_calls == [2]
 
     @pytest.mark.parametrize(
         "T", [Trinomial(8, 1, 8, 8), Trinomial(8, 1, 12, 3), Trinomial(2, 1, 1, -1)]
     )
-    def test_no_bounds_before_the_bound_stage(self, bound_calls, T):
-        assert verdict(T).index_bounds == ()
-        assert bound_calls == []
+    def test_no_bounds_before_the_bound_stage(self, T):
+        v = verdict(T)
+        assert not v.reached_bounds
+        assert "index_bounds" not in build_report(T, v)["verdict"]
 
     def test_index_bounds_bound_valuation(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
-        for entry in v.index_bounds:
-            assert valp(entry.p, v.trinomial.disc) >= 2 * entry.bound
+        assert v.splittings
+        for p, fact in v.splittings.items():
+            assert valp(p, v.disc) >= 2 * fact.index_lower_bound
 
     def test_alias_and_determinism(self):
         assert analyze_trinomial is verdict
         T = Trinomial(8, 1, 12, 3)
         v1, v2 = verdict(T), verdict(T)
         assert v1.kind is v2.kind and v1.trail == v2.trail
-        assert v1.alpha == v2.alpha and v1.trinomial.disc == v2.trinomial.disc
+        assert v1.alpha == v2.alpha and v1.disc == v2.disc
 
     def test_every_verdict_carries_disc_and_trail(self, rng):
         kinds = set()
@@ -819,7 +874,7 @@ class TestVerdictPipeline:
             v = verdict(T)
             kinds.add(v.kind)
             assert v.trinomial == T
-            assert v.trinomial.disc == disc_trinomial(T)
+            assert v.disc == disc_trinomial(T)
             assert len(v.trail) >= 1
             if v.kind is not VerdictKind.INCONCLUSIVE:
                 assert v.irreducibility is not None or v.irreducibility_assumed

@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from trinogen import ffactor, newton, ore
+from trinogen import ffactor
 from trinogen.exactnum import valp
 from trinogen.newton import MalformedInput
 from trinogen.ore import OreFactorization, PhiData, factor_p, index_bound, polygon_index
@@ -199,12 +199,6 @@ def _bound(F, p):
 class TestPolygonIndex:
     """polygon_index(F, p) == factor_p(F, p).index_lower_bound, errors included."""
 
-    @pytest.fixture(autouse=True)
-    def _empty_splittings(self):
-        ore.SPLITTINGS.clear()
-        yield
-        ore.SPLITTINGS.clear()
-
     def test_agrees_on_trinomials(self):
         rng = random.Random(314159)
         nonzero = {p: 0 for p in (2, 3, 5, 7, 13)}
@@ -259,22 +253,3 @@ class TestPolygonIndex:
             assert got == _outcome(_bound, F, p), (F, p)
             raised += isinstance(got, str)
         assert raised == len(cases)
-
-    def test_stores_nothing(self):
-        F = trinomial_polyz(8, 1, 12, 3)
-        assert polygon_index(F, 2) == 5
-        assert ore.SPLITTINGS.get((F, 2)) is None
-
-    def test_reads_a_stored_splitting(self, monkeypatch):
-        good = trinomial_polyz(8, 1, 12, 3)
-        bad = trinomial_polyz(8, 1, 4, -5)  # x - 1 divides
-        assert ore.shared_factor_p(good, 2).index_lower_bound == 5
-        with pytest.raises(MalformedInput) as stored:
-            ore.shared_factor_p(bad, 2)
-        calls = []
-        monkeypatch.setattr(newton, "principal_polygon", lambda *a, **k: calls.append(a))
-        assert polygon_index(good, 2) == 5
-        with pytest.raises(MalformedInput) as again:
-            polygon_index(bad, 2)
-        assert str(again.value) == str(stored.value)
-        assert calls == []
