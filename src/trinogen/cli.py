@@ -513,10 +513,14 @@ def _scan_row(item: tuple[int, int, int, int]) -> dict:
             kind = v.kind.value
             witness_p = v.p
             witness_d = v.cid_degree
-        try:
-            bound2 = ore.polygon_index(T.poly(), 2)
-        except MalformedInput:
-            bound2 = None
+        fact = v.splittings.get(2)
+        if isinstance(fact, ore.OreFactorization):
+            bound2 = fact.index_lower_bound
+        elif fact is None:
+            try:
+                bound2 = ore.polygon_index(T.poly(), 2)
+            except MalformedInput:
+                bound2 = None
     row["kind"] = kind
     row["witness_p"] = None if witness_p is None else str(witness_p)
     row["witness_d"] = None if witness_d is None else str(witness_d)

@@ -77,19 +77,6 @@ def point_cloud(dev: PhiDevelopment) -> tuple[tuple[int, int], ...]:
     return tuple((i, v) for i, v in enumerate(dev.vals) if v is not INFINITY)
 
 
-def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    hull: list[tuple[int, int]] = []
-    for pt in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
-            hull.pop()
-        hull.append(pt)
-    return hull
-
-
 def principal_polygon(cloud) -> PrincipalPolygon:
     """Lower convex hull of the cloud restricted to its negative-slope sides.
 
@@ -100,15 +87,27 @@ def principal_polygon(cloud) -> PrincipalPolygon:
     points = sorted(cloud)
     if not points:
         raise MalformedInput("empty point cloud")
-    for (x0, y0), (x1, _) in zip(points, points[1:]):
-        if x0 == x1:
-            raise MalformedInput(f"duplicate abscissa {x0} in point cloud")
-    if any(y < 0 for _, y in points):
+    # One pass validates the cloud and builds its lower hull (Andrew's
+    # monotone chain): each point pops the vertices it does not turn left of,
+    # and the point before it is always the last vertex.
+    hull: list[tuple[int, int]] = []
+    low = points[0][1]
+    for pt in points:
+        x, y = pt
+        if hull and hull[-1][0] == x:
+            raise MalformedInput(f"duplicate abscissa {x} in point cloud")
+        if y < low:
+            low = y
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            hull.pop()
+        hull.append(pt)
+    if low < 0:
         raise MalformedInput("negative ordinate in point cloud")
-    if all(y != 0 for _, y in points):
+    if low > 0:
         raise MalformedInput("point cloud has no zero-ordinate point")
-
-    hull = _lower_hull(points)
 
     vertices: list[tuple[int, int]] = [hull[0]]
     sides: list[Side] = []
@@ -124,15 +123,13 @@ def principal_polygon(cloud) -> PrincipalPolygon:
         vertices.append((x1, y1))
     discarded = tuple(hull[cut:]) if cut < len(hull) else ()
 
-    length = vertices[-1][0]
-    zero_points = [x for x, y in points if y == 0]
-    if vertices[-1][1] != 0 or length != min(zero_points):
-        raise MalformedInput(
-            "principal part does not terminate on the horizontal axis"
-        )
+    # The descent ends at the leftmost lowest point, which every lower hull
+    # keeps and the checks above put on the axis: this guards the hull code.
+    if vertices[-1][1] != 0:  # pragma: no cover
+        raise MalformedInput("principal part does not terminate on the horizontal axis")
     return PrincipalPolygon(
         sides=tuple(sides),
-        length=length,
+        length=vertices[-1][0],
         vertices=tuple(vertices),
         discarded=discarded,
     )

@@ -341,13 +341,6 @@ class PhiDevelopment:
     vals: tuple
 
 
-def term_valuation(p: int, a: PolyZ):
-    """min p-adic valuation over the coefficients of ``a``; INFINITY for 0."""
-    if a.is_zero():
-        return INFINITY
-    return min(valp(p, c) for c in a.coeffs if c != 0)
-
-
 def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
     """phi-adic development of f, with exactly deg(f)//deg(phi) + 1 terms."""
     if not phi.is_monic() or phi.degree < 1:
@@ -357,6 +350,24 @@ def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
     if p < 2:
         raise ValueError("p must be >= 2")
     d = phi.degree
+    if d == 1:
+        # Around phi = x - c the terms are the Taylor coefficients of f at c:
+        # term i is the sum over the nonzero f_j of f_j * C(j, i) * c^(j-i).
+        # Each summand follows from the one at i + 1 by exact integer steps,
+        # so a sparse f costs one step per nonzero f_j per lower abscissa.
+        c = -phi.coeffs[0]
+        coeffs = list(f.coeffs)
+        if c:
+            coeffs = [0] * len(coeffs)
+            for j, fj in enumerate(f.coeffs):
+                if fj:
+                    coeffs[j] += fj
+                    for i in range(j, 0, -1):
+                        fj = fj * c * i // (j - i + 1)
+                        coeffs[i - 1] += fj
+        terms = tuple(PolyZ((t,)) for t in coeffs)
+        vals = tuple(valp(p, t) for t in coeffs)
+        return PhiDevelopment(phi=phi, p=p, terms=terms, vals=vals)
     count = f.degree // d + 1
     # Repeated division by phi, in place: dividing the polynomial held in
     # q[base:] leaves the remainder in q[base:base + d] and the quotient in
@@ -373,8 +384,9 @@ def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
                     k = i - d
                     for j, pc in low:
                         q[k + j] -= c * pc
-    terms = tuple(PolyZ(q[base : base + d]) for base in range(0, count * d, d))
-    vals = tuple(term_valuation(p, a) for a in terms)
+    chunks = [q[base : base + d] for base in range(0, count * d, d)]
+    terms = tuple(PolyZ(chunk) for chunk in chunks)
+    vals = tuple(min((valp(p, c) for c in chunk if c), default=INFINITY) for chunk in chunks)
     return PhiDevelopment(phi=phi, p=p, terms=terms, vals=vals)
 
 

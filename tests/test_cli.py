@@ -716,6 +716,28 @@ def test_index_column_matches_full_analysis(capsys, tmp_path, monkeypatch, box, 
     assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == rows
 
 
+def test_screen_row_reads_its_index_off_the_verdict(monkeypatch):
+    # x^8 + 12x + 3 matches a congruence screen, so its verdict already holds
+    # the splitting at 2, and the row's index column is read off it.
+    fact = verdict(Trinomial(8, 1, 12, 3)).splittings[2]
+    calls = []
+    polygon_index = ore.polygon_index
+    monkeypatch.setattr(ore, "polygon_index",
+                        lambda F, p: calls.append(p) or polygon_index(F, p))
+    row = cli._scan_row((3, 1, 12, 3))
+    assert (row["kind"], row["index_lower_bound_2"]) == (
+        "FieldNotMonogenic", str(fact.index_lower_bound))
+    assert calls == []
+    # A row without a screen still computes the column.
+    assert cli._scan_row((3, 1, 8, 8))["index_lower_bound_2"] is not None
+    assert calls == [2]
+    # A splitting that raised MalformedInput gives no index.
+    monkeypatch.setattr(cli, "verdict", lambda T: dataclasses.replace(
+        verdict(T), splittings={2: "input is divisible by x - 1, hence reducible"}))
+    assert cli._scan_row((3, 1, 12, 3))["index_lower_bound_2"] is None
+    assert calls == [2]
+
+
 # A box with m = 3, whose trinomials are not of the paper's m = 1 family.
 M3_BOX = ("--m", "3", "--a-range", "-8:8", "--b-range", "-8:8")
 

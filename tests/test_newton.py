@@ -103,20 +103,27 @@ class TestPrincipalPolygonFixtures:
 
 
 class TestPrincipalPolygonValidation:
+    # Each check is pinned to its exact message, and a cloud breaking
+    # several rules gets the message of the first check in this order.
     def test_empty_cloud(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(MalformedInput, match="^empty point cloud$"):
             principal_polygon([])
 
     def test_duplicate_abscissa(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(MalformedInput, match="^duplicate abscissa 0 in point cloud$"):
             principal_polygon([(0, 1), (0, 2), (3, 0)])
+        # the smallest duplicated abscissa is named, ahead of the other faults
+        with pytest.raises(MalformedInput, match="^duplicate abscissa 2 in point cloud$"):
+            principal_polygon([(5, 1), (2, -1), (5, 3), (2, 4)])
 
     def test_negative_ordinate(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(MalformedInput, match="^negative ordinate in point cloud$"):
             principal_polygon([(0, 1), (2, -1), (3, 0)])
+        with pytest.raises(MalformedInput, match="^negative ordinate in point cloud$"):
+            principal_polygon([(0, 3), (2, 1), (4, -2)])  # and no zero ordinate
 
     def test_no_zero_ordinate(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(MalformedInput, match="^point cloud has no zero-ordinate point$"):
             principal_polygon([(0, 3), (2, 1)])
 
 

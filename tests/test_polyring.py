@@ -9,7 +9,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
 
 from conftest import random_monic_polyz, random_polyz, sympy_poly
-from trinogen.exactnum import INFINITY
+from trinogen.exactnum import INFINITY, valp
 from trinogen.polyring import (
     FqField,
     FqPoly,
@@ -23,7 +23,6 @@ from trinogen.polyring import (
     power_sums,
     reduce_mod,
     resultant,
-    term_valuation,
 )
 
 
@@ -227,6 +226,13 @@ class TestPowerSumsCharpoly:
         assert power_charpoly(PolyZ([-2, 0, 1]), 2) == PolyZ([4, -4, 1])
 
 
+def term_valuation(p: int, a: PolyZ):
+    """min p-adic valuation over the coefficients of ``a``; INFINITY for 0."""
+    if a.is_zero():
+        return INFINITY
+    return min(valp(p, c) for c in a.coeffs if c != 0)
+
+
 def reference_phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
     """The development by repeated ``PolyZ.divrem``, one new polynomial a round."""
     terms = []
@@ -247,17 +253,29 @@ def sparse_monic(rng, deg: int, span: int) -> PolyZ:
 class TestPhiExpand:
     def test_matches_repeated_divrem(self):
         rng = random.Random(2024)
-        for case in range(600):
+        for case in range(750):
             d = rng.randint(1, 6)
-            kind = case % 4
-            if kind == 0:
-                phi = PolyZ([0] * d + [1])  # x^d, x itself for d = 1
-            elif kind == 1:
-                phi = sparse_monic(rng, d, 9)
+            kind = case % 5
+            if kind == 4:
+                # Sparse trinomials and binomials x^n + a x^m + b around a
+                # linear phi = x - c, the shape the polygons at 2 develop.
+                n = rng.randint(1, 64)
+                span = 2**210 if case % 3 == 0 else 40
+                coeffs = [0] * n + [1]
+                coeffs[rng.randrange(n)] += rng.randint(-span, span)
+                if rng.random() < 0.75:
+                    coeffs[0] += rng.randint(-span, span)
+                f = PolyZ(coeffs)
+                phi = PolyZ([-rng.randint(-3, 3), 1])
             else:
-                phi = random_monic_polyz(rng, d, span=9)
-            span = 2**210 if case % 5 == 0 else 40
-            f = random_polyz(rng, max_deg=rng.choice((d - 1, 3 * d, 40)), span=span)
+                if kind == 0:
+                    phi = PolyZ([0] * d + [1])  # x^d, x itself for d = 1
+                elif kind == 1:
+                    phi = sparse_monic(rng, d, 9)
+                else:
+                    phi = random_monic_polyz(rng, d, span=9)
+                span = 2**210 if (case // 5) % 5 == 0 else 40  # independent of kind
+                f = random_polyz(rng, max_deg=rng.choice((d - 1, 3 * d, 40)), span=span)
             p = rng.choice((2, 3, 5, 7, 257))
             dev = phi_expand(f, phi, p)
             assert dev == reference_phi_expand(f, phi, p)
@@ -273,6 +291,8 @@ class TestPhiExpand:
             (PolyZ([1, 2]), PolyZ([3, 0, 0, 1])),  # deg f < deg phi
             (PolyZ([big, 0, 0, 0, 0, 0, 0, 0, 0, 2 * big]), PolyZ([1, 0, 0, 1])),
             (PolyZ([1] * 13), PolyZ([0, 0, 0, 0, 1])),  # phi = x^4
+            # degree 1024, the degree cap, around a linear phi far from 0
+            (PolyZ([-7, 5] + [0] * 1022 + [1]), PolyZ([499979, 1])),
         ]
         for f, phi in cases:
             assert phi_expand(f, phi, 3) == reference_phi_expand(f, phi, 3)
