@@ -77,6 +77,8 @@ class StrippedInt:
 
 def strip_p(p: int, t: int) -> StrippedInt:
     """Strip all factors of ``p`` out of the nonzero integer ``t``."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
     if t == 0:
         raise ValueError("cannot strip a prime out of zero")
     nu = 0

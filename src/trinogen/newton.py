@@ -166,7 +166,7 @@ def residual_poly(
             continue
         scale = p**u
         digits = []
-        for c in dev.terms[i].coeffs:
+        for c in dev.terms[i]:
             q, r = divmod(c, scale)
             if r:  # pragma: no cover - u is the minimum valuation
                 raise ArithmeticError("residue scaling division was not exact")

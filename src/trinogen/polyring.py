@@ -329,15 +329,17 @@ def power_charpoly(f: PolyZ, k: int) -> PolyZ:
 
 @dataclass(frozen=True)
 class PhiDevelopment:
-    """F = sum terms[i] * phi**i with deg(terms[i]) < deg(phi).
+    """F = sum PolyZ(terms[i]) * phi**i, each term of degree < deg(phi).
 
-    ``vals[i]`` is the minimum p-adic valuation of the coefficients of
-    ``terms[i]`` (INFINITY exactly when the term is the zero polynomial).
+    ``terms[i]`` holds the i-th term's integer coefficients, ascending, as
+    sliced from the development: deg(phi) of them, zeros kept, and (t,) for
+    a linear phi; the last term stops where F does.  ``vals[i]`` is their
+    minimum p-adic valuation (INFINITY exactly when all of them are zero).
     """
 
     phi: PolyZ
     p: int
-    terms: tuple[PolyZ, ...]
+    terms: tuple[tuple[int, ...], ...]
     vals: tuple
 
 
@@ -365,28 +367,25 @@ def phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
                     for i in range(j, 0, -1):
                         fj = fj * c * i // (j - i + 1)
                         coeffs[i - 1] += fj
-        terms = tuple(PolyZ((t,)) for t in coeffs)
+        terms = tuple((t,) for t in coeffs)
         vals = tuple(valp(p, t) for t in coeffs)
         return PhiDevelopment(phi=phi, p=p, terms=terms, vals=vals)
     count = f.degree // d + 1
     # Repeated division by phi, in place: dividing the polynomial held in
     # q[base:] leaves the remainder in q[base:base + d] and the quotient in
     # q[base + d:], which the next round divides.  Only the nonzero lower
-    # coefficients of phi are subtracted; phi = x^d has none, and then the
-    # coefficients of f already are the development.
+    # coefficients of phi are subtracted.
     low = [(j, c) for j, c in enumerate(phi.coeffs[:d]) if c]
     q = list(f.coeffs)
-    if low:
-        for base in range(0, (count - 1) * d, d):
-            for i in range(len(q) - 1, base + d - 1, -1):
-                c = q[i]
-                if c:
-                    k = i - d
-                    for j, pc in low:
-                        q[k + j] -= c * pc
-    chunks = [q[base : base + d] for base in range(0, count * d, d)]
-    terms = tuple(PolyZ(chunk) for chunk in chunks)
-    vals = tuple(min((valp(p, c) for c in chunk if c), default=INFINITY) for chunk in chunks)
+    for base in range(0, (count - 1) * d, d):
+        for i in range(len(q) - 1, base + d - 1, -1):
+            c = q[i]
+            if c:
+                k = i - d
+                for j, pc in low:
+                    q[k + j] -= c * pc
+    terms = tuple(tuple(q[base : base + d]) for base in range(0, count * d, d))
+    vals = tuple(min((valp(p, c) for c in term if c), default=INFINITY) for term in terms)
     return PhiDevelopment(phi=phi, p=p, terms=terms, vals=vals)
 
 
@@ -481,6 +480,9 @@ class FqField:
         if len(mod) < 2 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
         deg = len(mod) - 1
+        if deg == 1 and mod != (0, 1):
+            # Prime-field elements are ints read with t = 0: true only mod t.
+            raise ValueError("a degree-1 modulus must be t; F_p is FqField(p)")
         object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "deg", deg)
         if deg == 1:
@@ -736,18 +738,12 @@ class FqPoly:
         self._check(other)
         fld = self.field
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=fld.zero)
-        if fld.deg == 1:
-            p = fld.p
-            return FqPoly(fld, [(x + y) % p for x, y in pairs])
         return FqPoly(fld, [fld.add(x, y) for x, y in pairs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
         fld = self.field
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=fld.zero)
-        if fld.deg == 1:
-            p = fld.p
-            return FqPoly(fld, [(x - y) % p for x, y in pairs])
         return FqPoly(fld, [fld.sub(x, y) for x, y in pairs])
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
@@ -769,9 +765,6 @@ class FqPoly:
     def cmul(self, c) -> "FqPoly":
         """Multiply by a field element."""
         fld = self.field
-        if fld.deg == 1:
-            p = fld.p
-            return FqPoly(fld, [c * a % p for a in self.coeffs])
         return FqPoly(fld, [fld.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, e: int) -> "FqPoly":
@@ -867,18 +860,7 @@ class FqPoly:
 
     def derivative(self) -> "FqPoly":
         fld = self.field
-        coeffs = enumerate(self.coeffs[1:], 1)
-        if fld.deg == 1:
-            p = fld.p
-            return FqPoly(fld, [i * c % p for i, c in coeffs])
-        return FqPoly(fld, [fld.smul(i, c) for i, c in coeffs])
-
-    def __call__(self, e):
-        fld = self.field
-        out = fld.zero
-        for c in reversed(self.coeffs):
-            out = fld.add(fld.mul(out, e), c)
-        return out
+        return FqPoly(fld, [fld.smul(i, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
 
 def reduce_mod(f: PolyZ, p: int) -> FqPoly:

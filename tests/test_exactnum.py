@@ -79,6 +79,14 @@ class TestStripP:
         with pytest.raises(ValueError):
             strip_p(2, 0)
 
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_rejects_a_modulus_below_two(self, p):
+        # p = +-1 divides every integer, so stripping would never end.
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            strip_p(p, 12)
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            strip_factored(p, 12, 100)
+
 
 class TestCountMonicIrreducibles:
     def test_known_values(self):

@@ -1,12 +1,23 @@
 """Integer and finite-field polynomial layers, checked against sympy oracles."""
 
+import ast
+import inspect
 import math
 import random
 
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_diff,
+    gf_div,
+    gf_gcd,
+    gf_mul,
+    gf_mul_ground,
+    gf_pow_mod,
+    gf_sub,
+)
 
 from conftest import random_monic_polyz, random_polyz, sympy_poly
 from trinogen.exactnum import INFINITY, valp
@@ -234,14 +245,21 @@ def term_valuation(p: int, a: PolyZ):
 
 
 def reference_phi_expand(f: PolyZ, phi: PolyZ, p: int) -> PhiDevelopment:
-    """The development by repeated ``PolyZ.divrem``, one new polynomial a round."""
+    """The development by repeated ``PolyZ.divrem``, one new polynomial a round.
+
+    Term i is written as the slice of deg(phi) coefficients at i*deg(phi)
+    that phi_expand returns: zero-padded, the last one as long as f reaches.
+    """
+    d = phi.degree
     terms = []
     q = f
-    for _ in range(f.degree // phi.degree + 1):
+    for i in range(f.degree // d + 1):
         q, rem = q.divrem(phi)
-        terms.append(rem)
+        width = min(d, f.degree + 1 - i * d)
+        assert rem.degree < width
+        terms.append(tuple(rem[j] for j in range(width)))
     assert q.is_zero()
-    vals = tuple(term_valuation(p, a) for a in terms)
+    vals = tuple(term_valuation(p, PolyZ(a)) for a in terms)
     return PhiDevelopment(phi=phi, p=p, terms=tuple(terms), vals=vals)
 
 
@@ -281,7 +299,7 @@ class TestPhiExpand:
             assert dev == reference_phi_expand(f, phi, p)
             total = PolyZ()
             for i, term in enumerate(dev.terms):
-                total = total + term * phi**i
+                total = total + PolyZ(term) * phi**i
             assert total == f
 
     def test_edge_shapes(self):
@@ -296,9 +314,9 @@ class TestPhiExpand:
         ]
         for f, phi in cases:
             assert phi_expand(f, phi, 3) == reference_phi_expand(f, phi, 3)
-        assert phi_expand(PolyZ([1, 2]), PolyZ([3, 0, 0, 1]), 2).terms == (PolyZ([1, 2]),)
-        assert phi_expand(PolyZ([5, -big, 0, 7]), PolyZ([0, 1]), 3).terms == tuple(
-            PolyZ([c]) for c in (5, -big, 0, 7)
+        assert phi_expand(PolyZ([1, 2]), PolyZ([3, 0, 0, 1]), 2).terms == ((1, 2),)
+        assert phi_expand(PolyZ([5, -big, 0, 7]), PolyZ([0, 1]), 3).terms == (
+            (5,), (-big,), (0,), (7,)
         )
 
     def test_reconstruction_and_shape(self, rng):
@@ -312,11 +330,11 @@ class TestPhiExpand:
             assert len(dev.terms) == F.degree // phi.degree + 1
             total = PolyZ()
             for i, term in enumerate(dev.terms):
-                assert term.degree < phi.degree
-                total = total + term * phi**i
+                assert PolyZ(term).degree < phi.degree
+                total = total + PolyZ(term) * phi**i
             assert total == F
             for term, v in zip(dev.terms, dev.vals):
-                assert v == term_valuation(p, term)
+                assert v == term_valuation(p, PolyZ(term))
 
     def test_term_valuation(self):
         assert term_valuation(2, PolyZ([4, 6])) == 1
@@ -324,9 +342,9 @@ class TestPhiExpand:
         assert term_valuation(3, PolyZ([9, 27, 18])) == 2
 
     def test_known_development(self):
-        # x^4 + 1 around phi = x^2: terms 1, 0, 1
+        # x^4 + 1 around phi = x^2: terms 1, 0, 1, as slices of f
         dev = phi_expand(PolyZ([1, 0, 0, 0, 1]), PolyZ([0, 0, 1]), 2)
-        assert dev.terms == (PolyZ([1]), PolyZ(), PolyZ([1]))
+        assert dev.terms == ((1, 0), (0, 0), (1,))
         assert dev.vals == (0, INFINITY, 0)
 
 
@@ -353,6 +371,15 @@ class TestFqField:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
             FqField(2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over F_2
+
+    def test_rejects_a_linear_modulus_other_than_t(self):
+        # In F_7[t]/(t + 3), t is -3 = 4, which a plain residue cannot carry.
+        for modulus in ((3, 1), (1, 1), (6, 1)):
+            with pytest.raises(ValueError):
+                FqField(7, modulus)
+            with pytest.raises(ValueError):
+                get_field(7, modulus)
+        assert FqField(7, (14, 1)) == get_field(7)  # t + 14 is t over F_7
 
     def test_f4_structure(self):
         F = get_field(2, (1, 1, 1))  # t^2 + t + 1
@@ -477,10 +504,9 @@ class TestFqPoly:
             direct = (direct * f) % mod
             assert f.pow_mod(e, mod) == direct % mod
 
-    def test_eval_and_derivative(self):
+    def test_derivative(self):
         F = get_field(7)
         f = F.poly([3, 2, 5])  # 5x^2 + 2x + 3
-        assert f(F.elem([2])) == F.elem([5 * 4 + 2 * 2 + 3])
         assert f.derivative() == F.poly([2, 10])
 
     def test_str_rendering(self):
@@ -578,7 +604,8 @@ def _gf(f: FqPoly) -> list[int]:
 
 
 class TestPrimeFieldDigitArithmetic:
-    """Over F_p, FqPoly's product, division and pow_mod run on packed digit lists."""
+    """FqPoly over F_p against sympy; product, division, gcd and pow_mod run
+    on packed digit lists, the element-wise operations through FqField."""
 
     PRIMES = (2, 3, 5, 7, 257, 10007, 999983, BIG_PRIME)
 
@@ -597,6 +624,56 @@ class TestPrimeFieldDigitArithmetic:
                 assert _gf(f * g) == gf_mul(_gf(f), _gf(g), p, ZZ)
                 q, r = f.divrem(g)
                 assert (_gf(q), _gf(r)) == gf_div(_gf(f), _gf(g), p, ZZ)
+
+    def test_add_sub_cmul_derivative_against_sympy(self, rng):
+        for p in self.PRIMES:
+            F = get_field(p)
+            for _ in range(40):
+                f = self._poly(F, rng, rng.randint(0, 40))
+                g = self._poly(F, rng, rng.randint(0, 40))
+                if f.coeffs and rng.random() < 0.3:
+                    # Share f's top digits, so the sum with -g or the
+                    # difference with g drops below both degrees.
+                    k = rng.randint(0, len(f.coeffs))
+                    top = list(f.coeffs[k:])
+                    low = [rng.randrange(p) for _ in range(k)]
+                    g = F.poly(low + (top if rng.random() < 0.5 else [-c for c in top]))
+                assert _gf(f + g) == gf_add(_gf(f), _gf(g), p, ZZ)
+                assert _gf(f - g) == gf_sub(_gf(f), _gf(g), p, ZZ)
+                for c in (0, 1, p - 1, rng.randrange(p)):
+                    assert _gf(f.cmul(c)) == gf_mul_ground(_gf(f), c, p, ZZ)
+                assert _gf(f.derivative()) == gf_diff(_gf(f), p, ZZ)
+                assert (f - f).is_zero() and (f + g) - g == f
+        # x^p has derivative p*x^(p-1) = 0 in characteristic p.
+        assert get_field(5).poly([3, 0, 0, 0, 0, 1]).derivative().is_zero()
+
+    @pytest.mark.parametrize(
+        "p, modulus", [(2, (1, 1, 1)), (3, (1, 0, 1))], ids=["F_4", "F_9"]
+    )
+    def test_add_sub_cmul_derivative_per_element_on_extensions(self, p, modulus, rng):
+        F = get_field(p, modulus)
+        els = [F.from_int(k) for k in range(F.order)]
+
+        def stripped(coeffs):
+            coeffs = list(coeffs)
+            while coeffs and coeffs[-1] == F.zero:
+                coeffs.pop()
+            return tuple(coeffs)
+
+        for _ in range(100):
+            f = F.poly([rng.choice(els) for _ in range(rng.randint(0, 12))])
+            g = F.poly([rng.choice(els) for _ in range(rng.randint(0, 12))])
+            if rng.random() < 0.3:
+                g = F.poly(list(g.coeffs[:3]) + list(f.coeffs[3:]))
+            width = range(max(len(f.coeffs), len(g.coeffs)))
+            assert (f + g).coeffs == stripped(F.add(f[i], g[i]) for i in width)
+            assert (f - g).coeffs == stripped(F.sub(f[i], g[i]) for i in width)
+            c = rng.choice(els)
+            assert f.cmul(c).coeffs == stripped(F.mul(c, a) for a in f.coeffs)
+            assert f.derivative().coeffs == stripped(
+                F.mul(F.elem(i), f[i]) for i in range(1, len(f.coeffs))
+            )
+            assert all(type(e) is tuple for e in (f + g).coeffs + f.derivative().coeffs)
 
     def test_product_of_largest_digits(self):
         # Every coefficient of the product over Z reaches min(len)*(p-1)^2,
@@ -645,3 +722,30 @@ class TestPrimeFieldDigitArithmetic:
             f.divrem(zero)
         with pytest.raises(ZeroDivisionError):
             f.pow_mod(2, zero)
+
+
+def test_one_element_wise_path_and_integer_terms():
+    # FqPoly branches on the field degree only where a digit-list kernel
+    # replaces the per-element loop, and phi_expand builds no PolyZ term.
+    (cls,) = ast.parse(inspect.getsource(FqPoly)).body
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+    def reading(test):
+        return [m.name for m in methods if any(test(node) for node in ast.walk(m))]
+
+    by_degree = reading(lambda node: isinstance(node, ast.Attribute) and node.attr == "deg")
+    by_kernel = reading(
+        lambda node: isinstance(node, ast.Name) and node.id in ("_digits_mul", "_digits_divmod")
+    )
+    assert by_degree == by_kernel == ["__mul__", "divrem", "gcd", "pow_mod"]
+
+    builds_polyz = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(phi_expand)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PolyZ"
+    ]
+    assert builds_polyz == []
+    f = PolyZ([3, 4, 0, 0, 0, 0, 0, 0, 1])
+    for phi in ((0, 1), (-1, 1), (1, 0, 1), (1, 1, 0, 1), (1,) * 10):
+        dev = phi_expand(f, PolyZ(phi), 2)
+        assert all(type(t) is tuple and all(type(c) is int for c in t) for t in dev.terms)
