@@ -495,7 +495,24 @@ SCAN_COLUMNS = [
 ]
 
 
-def _scan_row(item: tuple[int, int, int, int]) -> dict:
+def _class_index(T: Trinomial, classes: dict) -> int | None:
+    """``ore.polygon_index(F, 2)``'s index (None where it raises), read off a
+    class in ``classes``: (n, m) -> k -> {(a mod 2^k, b mod 2^k): index}.  A
+    row in no stored class builds its polygons and stores its own class."""
+    by_k = classes.setdefault((T.n, T.m), {})
+    for k, table in by_k.items():
+        index = table.get((T.a % (1 << k), T.b % (1 << k)))
+        if index is not None:
+            return index
+    try:
+        index, k = ore.polygon_index(T.poly(), 2)
+    except MalformedInput:
+        return None
+    by_k.setdefault(k, {})[T.a % (1 << k), T.b % (1 << k)] = index
+    return index
+
+
+def _scan_row(item: tuple[int, int, int, int], classes: dict) -> dict:
     r, m, a, b = item
     start = time.perf_counter_ns()
     row: dict = {"r": str(r), "m": str(m), "a": str(a), "b": str(b)}
@@ -517,10 +534,7 @@ def _scan_row(item: tuple[int, int, int, int]) -> dict:
         if isinstance(fact, ore.OreFactorization):
             bound2 = fact.index_lower_bound
         elif fact is None:
-            try:
-                bound2 = ore.polygon_index(T.poly(), 2)
-            except MalformedInput:
-                bound2 = None
+            bound2 = _class_index(T, classes)
     row["kind"] = kind
     row["witness_p"] = None if witness_p is None else str(witness_p)
     row["witness_d"] = None if witness_d is None else str(witness_d)
@@ -546,8 +560,9 @@ def _row_line(row: dict, fmt: str) -> str:
 
 def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str) -> str:
     """The output lines of ``items``' rows: a worker formats them, so the
-    parent only writes."""
-    return "".join(_row_line(_scan_row(item), fmt) for item in items)
+    parent only writes.  Each chunk starts its own class table."""
+    classes: dict = {}
+    return "".join(_row_line(_scan_row(item, classes), fmt) for item in items)
 
 
 def _start_worker() -> None:
@@ -627,8 +642,9 @@ def cmd_scan(args) -> int:
         if args.format == "csv":
             out.write(",".join(SCAN_COLUMNS) + "\n")
         if args.jobs == 1:
+            classes: dict = {}
             for item in items:
-                out.write(_row_line(_scan_row(item), args.format))
+                out.write(_row_line(_scan_row(item, classes), args.format))
         else:
             # Imported here: it loads multiprocessing, which no other
             # command needs.

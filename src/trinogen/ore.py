@@ -10,7 +10,7 @@ from the side's slope and residue degree deg(phi) * deg(residual factor).
 
 The polygons alone give the bound (Ore's theorem of the index); the
 residual polynomials decide whether it is exact and how p splits.
-``polygon_index`` computes only the former.
+``polygon_index`` computes only the former, and a class mod p^k it is constant on.
 
 Results are canonical: factors of F mod p arrive in the factorization
 module's sort order, sides in slope order, residual factors again in sort
@@ -180,15 +180,23 @@ def index_bound(F: PolyZ, p: int) -> tuple[int, bool]:
     return result.index_lower_bound, result.regular
 
 
-def polygon_index(F: PolyZ, p: int) -> int:
-    """``factor_p(F, p).index_lower_bound``, read from the polygons alone.
+def polygon_index(F: PolyZ, p: int) -> tuple[int, int]:
+    """(``factor_p(F, p).index_lower_bound``, k), read from the polygons alone.
 
-    This is Ore's sum of ind_phi(F) over the factors phi of F mod p; no
-    residual polynomial is built.  Raises the ``MalformedInput`` that
-    ``factor_p`` would raise.
+    The index is Ore's sum of ind_phi(F) over the factors phi of F mod p; no
+    residual polynomial is built.  k = 1 + max v_p(a_0(phi)) over the repeated
+    factors phi, a_0 being term 0 of the phi-adic development (k = 1 when F mod
+    p is squarefree).  Lemma: every F + p^k * G, G in Z[x] with deg G < deg F,
+    has the same index and raises nothing.  F mod p, its factors and their
+    lifts are unchanged, and each term moves by a multiple of p^k: one of
+    valuation below k (a_0 among them) keeps it, and one of valuation k or
+    more lies strictly above the polygon, which starts at (0, v_p(a_0) < k)
+    and falls.  Raises the ``MalformedInput`` that ``factor_p`` would raise.
     """
-    return sum(
-        _polygon_stage(F, p, phibar, mult)[3]
-        for phibar, mult in _factors_mod_p(F, p)
-        if mult > 1
-    )
+    index, k = 0, 1
+    for phibar, mult in _factors_mod_p(F, p):
+        if mult > 1:
+            _, dev, _, ind = _polygon_stage(F, p, phibar, mult)
+            index += ind
+            k = max(k, dev.vals[0] + 1)
+    return index, k

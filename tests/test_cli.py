@@ -697,7 +697,7 @@ def test_skipped_rows_build_no_residual_polynomials(monkeypatch):
         for a in range(-16, 17):
             for b in range(-16, 17):
                 before = built.total()
-                kind = cli._scan_row((r, 1, a, b))["kind"]
+                kind = cli._scan_row((r, 1, a, b), {})["kind"]
                 kinds[kind] += 1
                 if kind == "skipped":
                     assert built.total() == before, (r, a, b)
@@ -705,15 +705,32 @@ def test_skipped_rows_build_no_residual_polynomials(monkeypatch):
     assert kinds["skipped"] > 1000 and built["residual_poly"] and built["is_separable"]
 
 
-@pytest.mark.parametrize("box", [ROADMAP_BOX, ("--m", "3", "--a-range", "-8:8",
-                                               "--b-range", "-8:8")])
+# Boxes of m = 3 and m = 6 over r = 3..5, whose trinomials are not of the
+# paper's m = 1 family.
+M3_R35_BOX = ("--m", "3", "--r-range", "3:5", "--a-range", "-8:8", "--b-range", "-8:8")
+M6_R35_BOX = ("--m", "6", "--r-range", "3:5", "--a-range", "-8:8", "--b-range", "-8:8")
+
+
+def full_analysis_index(row: dict) -> str | None:
+    """The row's index column, computed from ``ore.factor_p`` at 2."""
+    r, m, a, b = (int(row[c]) for c in ("r", "m", "a", "b"))
+    if b == 0:  # not a Trinomial
+        return None
+    try:
+        return str(ore.factor_p(Trinomial(2**r, m, a, b).poly(), 2).index_lower_bound)
+    except MalformedInput:
+        return None
+
+
+@pytest.mark.parametrize("box", [ROADMAP_BOX, M3_R35_BOX, M6_R35_BOX])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_index_column_matches_full_analysis(capsys, tmp_path, monkeypatch, box, jobs):
-    rows = mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs))
-    assert any(row["index_lower_bound_2"] not in (None, "0") for row in rows)
-    monkeypatch.setattr(ore, "polygon_index",
-                        lambda F, p: ore.factor_p(F, p).index_lower_bound)
-    assert mask_runtime(scan_rows(capsys, tmp_path, *box, "--jobs", jobs)) == rows
+def test_index_column_matches_full_analysis(capsys, tmp_path, box, jobs):
+    # A row answered by a stored class never calls ore.polygon_index, so
+    # the reference is each row's own full analysis.
+    rows = scan_rows(capsys, tmp_path, *box, "--jobs", jobs)
+    column = [row["index_lower_bound_2"] for row in rows]
+    assert column == [full_analysis_index(row) for row in rows]
+    assert any(bound not in (None, "0") for bound in column) and None in column
 
 
 def test_screen_row_reads_its_index_off_the_verdict(monkeypatch):
@@ -724,18 +741,40 @@ def test_screen_row_reads_its_index_off_the_verdict(monkeypatch):
     polygon_index = ore.polygon_index
     monkeypatch.setattr(ore, "polygon_index",
                         lambda F, p: calls.append(p) or polygon_index(F, p))
-    row = cli._scan_row((3, 1, 12, 3))
+    classes: dict = {}
+    row = cli._scan_row((3, 1, 12, 3), classes)
     assert (row["kind"], row["index_lower_bound_2"]) == (
         "FieldNotMonogenic", str(fact.index_lower_bound))
-    assert calls == []
+    assert calls == [] and classes == {}
     # A row without a screen still computes the column.
-    assert cli._scan_row((3, 1, 8, 8))["index_lower_bound_2"] is not None
+    assert cli._scan_row((3, 1, 8, 8), {})["index_lower_bound_2"] is not None
     assert calls == [2]
     # A splitting that raised MalformedInput gives no index.
     monkeypatch.setattr(cli, "verdict", lambda T: dataclasses.replace(
         verdict(T), splittings={2: "input is divisible by x - 1, hence reducible"}))
-    assert cli._scan_row((3, 1, 12, 3))["index_lower_bound_2"] is None
+    assert cli._scan_row((3, 1, 12, 3), {})["index_lower_bound_2"] is None
     assert calls == [2]
+
+
+def test_class_table_answers_members_and_stores_no_failure(monkeypatch):
+    calls = []
+    polygon_index = ore.polygon_index
+    monkeypatch.setattr(ore, "polygon_index",
+                        lambda F, p: calls.append(p) or polygon_index(F, p))
+    # x^8 - 8x + 7 has the root 1: polygon_index raises, the column is
+    # empty and no class is stored.
+    classes: dict = {}
+    assert cli._scan_row((3, 1, -8, 7), classes)["index_lower_bound_2"] is None
+    assert calls == [2] and not any(classes.values())
+    # x^8 + 8x + 8 stores its class mod 2^k, which then answers for the
+    # members (8 + 2^k s, 8 + 2^k t) without building a polygon.
+    index, k = polygon_index(Trinomial(8, 1, 8, 8).poly(), 2)
+    assert cli._scan_row((3, 1, 8, 8), classes)["index_lower_bound_2"] == str(index)
+    assert classes == {(8, 1): {k: {(8 % 2**k, 8 % 2**k): index}}}
+    for s, t in ((1, 0), (-1, 2), (3, -3)):
+        row = cli._scan_row((3, 1, 8 + s * 2**k, 8 + t * 2**k), classes)
+        assert row["index_lower_bound_2"] == str(index)
+    assert calls == [2, 2]
 
 
 # A box with m = 3, whose trinomials are not of the paper's m = 1 family.
@@ -756,7 +795,7 @@ def test_scan_rows_compute_no_index_bounds(monkeypatch):
     kinds = Counter()
     for item in items:
         before = calls.copy()
-        kind = cli._scan_row(item)["kind"]
+        kind = cli._scan_row(item, {})["kind"]
         kinds[kind] += 1
         if kind == "Inconclusive":
             assert calls == before, item
@@ -832,7 +871,7 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
     v = verdict(T)
     assert v.irreducibility is not None and v.trail[-1] == "no-criterion-applied"
     assert 3 in monogenity.square_primes(v.disc, v.sf_bound)
-    row = mask_runtime([cli._scan_row((3, 1, -16, 10))])
+    row = mask_runtime([cli._scan_row((3, 1, -16, 10), {})])
     factor_p = ore.factor_p
 
     def planted(F, p):
@@ -841,7 +880,7 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
         return factor_p(F, p)
 
     monkeypatch.setattr(ore, "factor_p", planted)
-    assert mask_runtime([cli._scan_row((3, 1, -16, 10))]) == row
+    assert mask_runtime([cli._scan_row((3, 1, -16, 10), {})]) == row
     v = verdict(T)
     with pytest.raises(InternalContradiction, match="planted rational factor"):
         build_report(T, v)
@@ -867,6 +906,22 @@ def test_facts_live_in_the_verdict_and_two_memos():
     package = Path(trinogen.__file__).parent
     assert [path.name for path in sorted(package.glob("*.py"))
             if "cached_property" in path.read_text(encoding="utf-8")] == []
+    assert sorted(name for name, _ in module_memos()) == [
+        "exactnum.FACTORIZATIONS", "ffactor.FACTORIZATIONS"]
+
+
+def test_index_table_lives_for_one_scan(capsys, tmp_path, monkeypatch):
+    # Most rows of a serial scan read their index column off a class, and a
+    # second scan in the same process starts from an empty table.
+    calls = []
+    polygon_index = ore.polygon_index
+    monkeypatch.setattr(ore, "polygon_index",
+                        lambda F, p: calls.append(p) or polygon_index(F, p))
+    first = mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "1"))
+    count = len(calls)
+    assert len(first) == 2178 and 0 < count <= 200
+    assert mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "1")) == first
+    assert len(calls) == 2 * count
     assert sorted(name for name, _ in module_memos()) == [
         "exactnum.FACTORIZATIONS", "ffactor.FACTORIZATIONS"]
 

@@ -196,8 +196,12 @@ def _bound(F, p):
     return factor_p(F, p).index_lower_bound
 
 
+def _index(F, p):
+    return polygon_index(F, p)[0]
+
+
 class TestPolygonIndex:
-    """polygon_index(F, p) == factor_p(F, p).index_lower_bound, errors included."""
+    """polygon_index(F, p)[0] == factor_p(F, p).index_lower_bound, errors included."""
 
     def test_agrees_on_trinomials(self):
         rng = random.Random(314159)
@@ -210,7 +214,7 @@ class TestPolygonIndex:
                 a = rng.randint(-6, 6) * p ** rng.randint(0, 3)
                 b = rng.choice((1, -1)) * rng.randint(1, 6) * p ** rng.randint(0, 2)
                 F = trinomial_polyz(n, m, a, b)
-                got = _outcome(polygon_index, F, p)
+                got = _outcome(_index, F, p)
                 assert got == _outcome(_bound, F, p), (n, m, a, b, p)
                 nonzero[p] += isinstance(got, int) and got > 0
         assert all(nonzero.values()), nonzero
@@ -236,7 +240,7 @@ class TestPolygonIndex:
                             f for f, e in ffactor.factor(reduce_mod(F, p)).factors if e > 1
                         ]
                         seen += any(f.degree >= 2 for f in repeated)
-                        assert _outcome(polygon_index, F, p) == _outcome(_bound, F, p), (
+                        assert _outcome(_index, F, p) == _outcome(_bound, F, p), (
                             F, p)
         assert seen >= 40
 
@@ -249,7 +253,46 @@ class TestPolygonIndex:
                   (PolyZ([1, 2]), 2), (PolyZ([5]), 2), (PolyZ([1, 0, 1]), 6)]
         raised = 0
         for F, p in cases:
-            got = _outcome(polygon_index, F, p)
+            got = _outcome(_index, F, p)
             assert got == _outcome(_bound, F, p), (F, p)
             raised += isinstance(got, str)
         assert raised == len(cases)
+
+
+class TestIndexClassConstancy:
+    """polygon_index(F, p) = (index, k) holds on the whole class of (a, b) mod p^k."""
+
+    def test_members_share_index_and_k(self):
+        rng = random.Random(2718)
+        cases = []
+        for i in range(120):
+            p = (2, 3, 5, 7)[i % 4]
+            n = rng.randint(3, 24)
+            m = rng.randrange(1 + i % 2, n, 2)  # odd and even m
+            a = rng.randint(-6, 6) * p ** rng.randint(0, 3)
+            b = rng.choice((1, -1)) * rng.randint(1, 6) * p ** rng.randint(0, 3)
+            cases.append((n, m, a, b, p))
+        # x^(2m) + a*x^m + b with m a power of 2 and a, b odd is
+        # (x^2 + x + 1)^m mod 2: a repeated factor of degree 2.
+        cases += [(2 * m, m, a, b, 2) for m in (1, 2, 4, 8) for a, b in ((1, 1), (3, -5), (-7, 9))]
+        k_at_least_3 = repeated_degree_2 = 0
+        for n, m, a, b, p in cases:
+            F = trinomial_polyz(n, m, a, b)
+            try:
+                index, k = polygon_index(F, p)
+            except MalformedInput:
+                continue
+            for s in range(-3, 4):
+                for t in range(-3, 4):
+                    member = trinomial_polyz(n, m, a + s * p**k, b + t * p**k)
+                    assert polygon_index(member, p) == (index, k), (n, m, a, b, p, s, t)
+            k_at_least_3 += k >= 3
+            repeated_degree_2 += any(
+                f.degree >= 2 and e > 1 for f, e in ffactor.factor(reduce_mod(F, p)).factors)
+        assert k_at_least_3 and repeated_degree_2, (k_at_least_3, repeated_degree_2)
+
+    def test_k_is_one_when_squarefree_mod_p(self):
+        # x^8 + x + 1 is squarefree mod 2: no polygon, so k = 1.
+        assert polygon_index(trinomial_polyz(8, 1, 1, 1), 2) == (0, 1)
+        # x^8 + 8x + 8: phi = x, a_0 = 8, so k = 1 + v_2(8) = 4.
+        assert polygon_index(trinomial_polyz(8, 1, 8, 8), 2) == (7, 4)
