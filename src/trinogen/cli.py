@@ -512,7 +512,7 @@ def _class_index(T: Trinomial, classes: dict) -> int | None:
     return index
 
 
-def _scan_row(item: tuple[int, int, int, int], classes: dict) -> dict:
+def _scan_row(item: tuple[int, int, int, int], classes: dict, bound: int | None = None) -> dict:
     r, m, a, b = item
     start = time.perf_counter_ns()
     row: dict = {"r": str(r), "m": str(m), "a": str(a), "b": str(b)}
@@ -523,7 +523,7 @@ def _scan_row(item: tuple[int, int, int, int], classes: dict) -> dict:
     except ValueError:
         pass
     else:
-        v = verdict(T)
+        v = verdict(T, bound=bound)
         if v.irreducibility is None:
             kind = "skipped"
         else:
@@ -558,14 +558,21 @@ def _row_line(row: dict, fmt: str) -> str:
     return json.dumps(row) + "\n"
 
 
-def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str) -> str:
-    """The output lines of ``items``' rows: a worker formats them, so the
-    parent only writes.  Each chunk starts its own class table."""
-    classes: dict = {}
-    return "".join(_row_line(_scan_row(item, classes), fmt) for item in items)
+# A pool worker's class table, made by _start_worker.  A pool lives for one
+# scan, so the table serves every chunk of that scan the worker computes.
+_WORKER_CLASSES: dict | None = None
+
+
+def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str, bound: int) -> str:
+    """The output lines of ``items``' rows under the squarefree ``bound``: a
+    worker formats them, so the parent only writes.  The rows read and fill
+    the worker's class table, ``_WORKER_CLASSES``."""
+    return "".join(_row_line(_scan_row(item, _WORKER_CLASSES, bound), fmt) for item in items)
 
 
 def _start_worker() -> None:
+    global _WORKER_CLASSES
+    _WORKER_CLASSES = {}
     # Ctrl-C reaches the whole process group; the parent alone answers it by
     # cancelling the pending chunks, so a worker neither stops nor prints.
     # A forked worker would inherit entry's SIGTERM handler; a SIGTERM sent
@@ -574,16 +581,17 @@ def _start_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_text(pool, items, jobs: int, fmt: str):
+def _pool_text(pool, items, jobs: int, fmt: str, bound: int):
     """The output of ``items``' rows in order, one chunk at a time, computed
     on ``pool`` through a window of POOL_WINDOW chunks per worker, refilled
     as each chunk is taken."""
     chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
-    window = deque(pool.submit(_scan_chunk, c, fmt) for c in islice(chunks, POOL_WINDOW * jobs))
+    window = deque(pool.submit(_scan_chunk, c, fmt, bound)
+                   for c in islice(chunks, POOL_WINDOW * jobs))
     while window:
         text = window.popleft().result()
         for chunk in islice(chunks, 1):
-            window.append(pool.submit(_scan_chunk, chunk, fmt))
+            window.append(pool.submit(_scan_chunk, chunk, fmt, bound))
         yield text
 
 
@@ -631,6 +639,9 @@ def cmd_scan(args) -> int:
         print(f"error: m={args.m} is out of range for r={r0}", file=sys.stderr)
         return EXIT_USAGE
     items = ((r, args.m, a, b) for r in r_range for a in a_range for b in b_range)
+    # Read once for every row, and before the output is opened: a malformed
+    # bound leaves stdout and the file untouched.
+    bound = monogenity._sf_bound()
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
@@ -644,14 +655,14 @@ def cmd_scan(args) -> int:
         if args.jobs == 1:
             classes: dict = {}
             for item in items:
-                out.write(_row_line(_scan_row(item, classes), args.format))
+                out.write(_row_line(_scan_row(item, classes, bound), args.format))
         else:
             # Imported here: it loads multiprocessing, which no other
             # command needs.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_start_worker)
-            for text in _pool_text(pool, items, args.jobs, args.format):
+            for text in _pool_text(pool, items, args.jobs, args.format, bound):
                 out.write(text)
     finally:
         if out is not sys.stdout:

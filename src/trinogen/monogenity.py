@@ -33,6 +33,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import newton, ore
 from .newton import MalformedInput
@@ -139,7 +140,8 @@ def disc_trinomial(T: Trinomial) -> int:
     m themselves, with exponents n1 and m1.
     """
     n, m, a, b = T.n, T.m, T.a, T.b
-    d0, n1, m1 = T.d0, T.n1, T.m1
+    d0 = math.gcd(n, m)
+    n1, m1 = n // d0, m // d0
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     inner = n**n1 * b ** (n1 - m1) - (-1) ** m1 * m**m1 * (m - n) ** (n1 - m1) * a**n1
     return sign * b ** (m - 1) * inner**d0
@@ -480,14 +482,13 @@ class VerdictKind(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class MonogenityVerdict:
+class MonogenityVerdict(NamedTuple):
     """Typed outcome with every piece of evidence needed to re-check it.
 
     It is also the one record of what the verdict computed about its
     trinomial, so a report reads these facts instead of computing them
     again: ``disc`` is disc(F), and ``sf_bound`` is the squarefree bound
-    read when the verdict began.  ``splittings`` maps each prime at which
+    the verdict used.  ``splittings`` maps each prime at which
     the verdict built the splitting to ``ore.factor_p``'s result, or to the
     message of the ``MalformedInput`` it raised.  Those primes are 2 for a
     congruence screen, and ``square_primes`` when irreducibility is only
@@ -534,7 +535,8 @@ def _splitting(F: PolyZ, p: int) -> OreFactorization | str:
 
 
 def verdict(
-    T: Trinomial, assume_irreducible: bool = False, *, disc: int | None = None
+    T: Trinomial, assume_irreducible: bool = False, *,
+    disc: int | None = None, bound: int | None = None,
 ) -> MonogenityVerdict:
     """Run the full certificate pipeline on one trinomial.
 
@@ -549,9 +551,11 @@ def verdict(
 
     The squarefree bound, the discriminant and the one-sided gate are each
     computed once and handed to the criteria.  ``disc`` is for a caller
-    that already computed ``disc_trinomial(T)``.
+    that already computed ``disc_trinomial(T)``, and ``bound`` for one that
+    already read the squarefree bound.
     """
-    bound = _sf_bound()
+    if bound is None:
+        bound = _sf_bound()
     if disc is None:
         disc = disc_trinomial(T)
     trail: list[str] = []

@@ -9,7 +9,6 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 """
 
 import concurrent.futures
-import dataclasses
 import functools
 import importlib
 import json
@@ -22,6 +21,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -550,6 +550,9 @@ def recording_pools(monkeypatch):
     pools = []
 
     def make(*args, **kwargs):
+        # This process is the pool's one worker.  _start_worker would also
+        # ignore Ctrl-C here, so only the worker's class table is made.
+        monkeypatch.setattr(cli, "_WORKER_CLASSES", {})
         pools.append(RecordingPool(*args, **kwargs))
         return pools[-1]
 
@@ -750,8 +753,8 @@ def test_screen_row_reads_its_index_off_the_verdict(monkeypatch):
     assert cli._scan_row((3, 1, 8, 8), {})["index_lower_bound_2"] is not None
     assert calls == [2]
     # A splitting that raised MalformedInput gives no index.
-    monkeypatch.setattr(cli, "verdict", lambda T: dataclasses.replace(
-        verdict(T), splittings={2: "input is divisible by x - 1, hence reducible"}))
+    monkeypatch.setattr(cli, "verdict", lambda T, **kwargs: verdict(T, **kwargs)._replace(
+        splittings={2: "input is divisible by x - 1, hence reducible"}))
     assert cli._scan_row((3, 1, 12, 3), {})["index_lower_bound_2"] is None
     assert calls == [2]
 
@@ -808,8 +811,8 @@ def test_scan_rows_compute_no_index_bounds(monkeypatch):
 @pytest.mark.parametrize("box", [ROADMAP_BOX, M3_BOX])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_rows_match_rows_with_bounds_forced(capsys, tmp_path, monkeypatch, box, jobs):
-    def forcing_verdict(T, _real=cli.verdict):
-        v = _real(T)
+    def forcing_verdict(T, _real=cli.verdict, **kwargs):
+        v = _real(T, **kwargs)
         if v.reached_bounds:
             build_report(T, v)  # what a report on each Inconclusive row computes
         return v
@@ -854,8 +857,8 @@ def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
         assert v.reached_bounds and v.splittings == {}
         lazy = build_report(T, v)
         square = monogenity.square_primes(v.disc, v.sf_bound)
-        eager = build_report(T, dataclasses.replace(
-            v, splittings={p: ore.factor_p(T.poly(), p) for p in square}))
+        eager = build_report(T, v._replace(
+            splittings={p: ore.factor_p(T.poly(), p) for p in square}))
         assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)
         assert render_text(lazy) == render_text(eager)
         expected = [{"p": str(p), "bound": str(bound), "exact": exact}
@@ -924,6 +927,62 @@ def test_index_table_lives_for_one_scan(capsys, tmp_path, monkeypatch):
     assert len(calls) == 2 * count
     assert sorted(name for name, _ in module_memos()) == [
         "exactnum.FACTORIZATIONS", "ffactor.FACTORIZATIONS"]
+
+
+def test_pool_workers_keep_one_table_per_scan(capsys, tmp_path, monkeypatch):
+    # Each worker's table serves every chunk the worker computes in one
+    # scan.  Two tables stand in for two workers that take the box's chunks
+    # in turn, in this process: _start_worker would also ignore Ctrl-C here.
+    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
+    serial = mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "1"))
+    calls = []
+    polygon_index = ore.polygon_index
+    items = iter([(r, 1, a, b) for r in (3, 4) for a in range(-16, 17) for b in range(-16, 17)])
+    tables: list[dict] = [{}, {}]
+    rows = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ore, "polygon_index", lambda F, p: calls.append(p) or polygon_index(F, p))
+        for i, chunk in enumerate(iter(lambda: list(islice(items, cli.SCAN_CHUNK)), [])):
+            patch.setattr(cli, "_WORKER_CLASSES", tables[i % 2])
+            text = cli._scan_chunk(chunk, "jsonl", monogenity.DEFAULT_SF_BOUND)
+            rows += [json.loads(line) for line in text.splitlines()]
+    assert mask_runtime(rows) == serial
+    assert all(tables) and 0 < len(calls) <= 200
+    # The parent of a pool makes no table.
+    assert mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "2")) == serial
+    assert cli._WORKER_CLASSES is None
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_reads_the_bound_once(capsys, tmp_path, monkeypatch, jobs):
+    parent, reads = os.getpid(), []
+    sf_bound = monogenity._sf_bound
+
+    def counting_sf_bound():
+        # Pool workers are forked from this process, and a read there fails
+        # its chunk, which fails the scan.
+        assert os.getpid() == parent, "a pool worker read the squarefree bound"
+        reads.append(parent)
+        return sf_bound()
+
+    monkeypatch.setattr(monogenity, "_sf_bound", counting_sf_bound)
+    assert len(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", jobs)) == 2178
+    assert reads == [parent]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_bad_bound_fails_before_any_output(capsys, tmp_path, monkeypatch, recording_pools,
+                                           jobs, to_file):
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setenv("TRINOGEN_SF_BOUND", "abc")
+    code, stdout, err = run_cli(capsys, "scan", *ROADMAP_BOX, "--format", "csv",
+                                "--jobs", jobs, "--out", str(out) if to_file else "-")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == "error: TRINOGEN_SF_BOUND must be an integer, got 'abc'\n"
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert recording_pools == []
 
 
 def test_main_empties_every_memo(capsys):

@@ -19,6 +19,7 @@ from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.monogenity import (
     AlphaCert,
     CongruenceCase,
+    MonogenityVerdict,
     SquarefreeStatus,
     Trinomial,
     VerdictKind,
@@ -879,3 +880,47 @@ class TestVerdictPipeline:
             if v.kind is not VerdictKind.INCONCLUSIVE:
                 assert v.irreducibility is not None or v.irreducibility_assumed
         assert VerdictKind.INCONCLUSIVE in kinds
+
+
+# -- the verdict record ----------------------------------------------------------------
+
+
+# One trinomial for each way a verdict ends: alpha generator, common index
+# divisor, conditional alpha, zero discriminant, uncertified, assumed with
+# index bounds, assumption contradicted, and no criterion.
+VERDICT_ENDINGS = [
+    (Trinomial(8, 1, 8, 8), False),
+    (Trinomial(8, 1, 12, 3), False),
+    (Trinomial(16, 1, 8, 56), False),
+    (Trinomial(2, 1, 2, 1), False),
+    (Trinomial(2, 1, 1, -1), False),
+    (Trinomial(4, 1, 4, 4), True),
+    (Trinomial(8, 1, 4, -5), True),
+    (Trinomial(8, 1, -16, 10), False),
+]
+
+
+class TestVerdictRecord:
+    def test_passed_bound_reads_no_environment(self, monkeypatch):
+        monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
+        expected = [verdict(T, assumed) for T, assumed in VERDICT_ENDINGS]
+
+        def forbidden():
+            raise AssertionError("the verdict read TRINOGEN_SF_BOUND")
+
+        monkeypatch.setattr(monogenity, "_sf_bound", forbidden)
+        got = [verdict(T, assumed, bound=monogenity.DEFAULT_SF_BOUND)
+               for T, assumed in VERDICT_ENDINGS]
+        assert got == expected
+        assert verdict(Trinomial(8, 1, 12, 3), bound=10).sf_bound == 10
+
+    def test_fields_cannot_be_assigned(self):
+        v = verdict(Trinomial(8, 1, 12, 3))
+        for name in MonogenityVerdict._fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            v.extra = None
+
+    def test_no_field_shadows_a_tuple_method(self):
+        assert set(MonogenityVerdict._fields).isdisjoint(dir(tuple))
