@@ -530,11 +530,7 @@ def _scan_row(item: tuple[int, int, int, int], classes: dict, bound: int | None 
             kind = v.kind.value
             witness_p = v.p
             witness_d = v.cid_degree
-        fact = v.splittings.get(2)
-        if isinstance(fact, ore.OreFactorization):
-            bound2 = fact.index_lower_bound
-        elif fact is None:
-            bound2 = _class_index(T, classes)
+        bound2 = _class_index(T, classes)
     row["kind"] = kind
     row["witness_p"] = None if witness_p is None else str(witness_p)
     row["witness_d"] = None if witness_d is None else str(witness_d)
@@ -625,7 +621,7 @@ def cmd_scan(args) -> int:
     if r0 < 1:
         print("error: --r-range must start at 1 or above", file=sys.stderr)
         return EXIT_USAGE
-    # Checked here, because a row refuses a degree past the cap as "skipped".
+    # Checked here, because a row applies no cap: it analyzes any degree.
     if _pow2_over_cap(r_range[-1]):
         print(f"error: --r-range reaches r={r_range[-1]}, a degree above the cap "
               f"{MAX_DEGREE}", file=sys.stderr)

@@ -77,15 +77,10 @@ class StrippedInt:
 
 def strip_p(p: int, t: int) -> StrippedInt:
     """Strip all factors of ``p`` out of the nonzero integer ``t``."""
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if t == 0:
+    nu = valp(p, t)
+    if nu is INFINITY:
         raise ValueError("cannot strip a prime out of zero")
-    nu = 0
-    while t % p == 0:
-        t //= p
-        nu += 1
-    return StrippedInt(nu, t)
+    return StrippedInt(nu, t // p**nu)
 
 
 def count_monic_irreducibles(p: int, d: int) -> int:
@@ -155,11 +150,8 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valp(2, n - 1)
+    d = (n - 1) >> s
     bases = _MR_BASES if n < MR_CERTIFIED_BOUND else _MR_BASES + _MR_EXTRA_BASES
     return not any(_mr_witness(a % n, n, d, s) for a in bases)
 
@@ -231,10 +223,8 @@ def trial_factor(t: int, bound: int) -> tuple[list[tuple[int, int]], int]:
 
     def divide_out(p: int) -> None:
         nonlocal t
-        nu = 0
-        while t % p == 0:
-            t //= p
-            nu += 1
+        nu = valp(p, t)
+        t //= p**nu
         out.append((p, nu))
 
     for p in _FIRST_BLOCK:
@@ -336,8 +326,7 @@ def strip_factored(p: int, t: int, bound: int) -> StrippedInt:
     stripped = strip_p(p, t)
     small, cofactor = factored(t, bound)
     kept = tuple(fe for fe in small if fe[0] != p)
-    while cofactor % p == 0:
-        cofactor //= p
+    cofactor //= p ** valp(p, cofactor)
     if 1 < cofactor < bound * bound:
         kept += ((cofactor, 1),)
         cofactor = 1

@@ -8,6 +8,8 @@ machine-checkable evidence:
   irreducibles of degree d — so no generator of Z_K exists at all.  The
   congruence screens only predict this; the verdict is emitted only after
   the polygon engine re-derives the splitting and confirms the count.
+  Where the polygon data at 2 is not regular it can do neither, and the
+  verdict is Inconclusive.
 * ``PolyNotMonogenicFieldMonogenic``: F itself is not monogenic (its polygon
   index is positive) but an explicit alpha = theta**x / p**y is proved to
   generate Z_K via a p-Eisenstein minimal polynomial, with the stripped
@@ -96,18 +98,6 @@ class Trinomial:
             raise ValueError(f"need n >= 2 and 1 <= m < n, got n={self.n}, m={self.m}")
         if self.b == 0:
             raise ValueError("b must be nonzero")
-
-    @property
-    def d0(self) -> int:
-        return math.gcd(self.n, self.m)
-
-    @property
-    def n1(self) -> int:
-        return self.n // self.d0
-
-    @property
-    def m1(self) -> int:
-        return self.m // self.d0
 
     @property
     def r(self) -> int | None:
@@ -491,8 +481,8 @@ class MonogenityVerdict(NamedTuple):
     the verdict used.  ``splittings`` maps each prime at which
     the verdict built the splitting to ``ore.factor_p``'s result, or to the
     message of the ``MalformedInput`` it raised.  Those primes are 2 for a
-    congruence screen, and ``square_primes`` when irreducibility is only
-    assumed and no criterion applied.  ``reached_bounds`` marks an
+    congruence screen, and ``square_primes`` too when irreducibility is
+    only assumed and no criterion applied.  ``reached_bounds`` marks an
     Inconclusive verdict whose report lists the index bounds at
     ``square_primes``; for a certified input the report builds them.
     """
@@ -541,9 +531,10 @@ def verdict(
     """Run the full certificate pipeline on one trinomial.
 
     Congruence screens are confirmed by the polygon engine before any
-    field-level claim; the alpha construction downgrades to a conditional
-    verdict when the squarefree test is inconclusive; everything else
-    falls through to Inconclusive with partial index data attached.  When
+    field-level claim, and one it cannot confirm, for want of a 2-regular
+    splitting, ends Inconclusive; the alpha construction downgrades to a
+    conditional verdict when the squarefree test is inconclusive; everything
+    else falls through to Inconclusive with partial index data attached.  When
     irreducibility is only assumed, the splittings behind the index bounds
     are built here, since a rational factor found on the way contradicts
     the assumption.  A certified input's bounds cannot change the verdict,
@@ -596,35 +587,33 @@ def verdict(
         )
 
     r = T.r
+    witness = None
     if r is not None and T.m == 1:
         witness = check_congruence_obstruction(r, T.a, T.b)
-        if witness is not None:
-            trail.append(f"congruence-screen({witness.case.value})")
-            fact = splittings[2] = _splitting(T.poly(), 2)
-            if isinstance(fact, str):
-                problem = fact
-            else:
-                problem = None
-                p1 = sum(1 for f in fact.factors if f.f == 1)
-                if not fact.regular:
-                    problem = "the polygon data at 2 is not regular"
-                elif common_index_divisor(fact) != (True, 1) or p1 < 3:
-                    problem = "no common index divisor was found at 2"
-            if problem is not None:
-                # A certified-irreducible input failing engine confirmation
-                # means the code is wrong; a merely assumed one means the
-                # assumption was wrong, which is the user's honest answer.
-                if irr is not None:
-                    raise InternalContradiction(
-                        f"congruence screen matched but {problem}"
-                    )
-                trail.append("assumption-contradicted")
-                return result(
-                    VerdictKind.INCONCLUSIVE,
-                    congruence=witness,
-                    reason="irreducibility was assumed but could not hold: "
-                    + problem,
-                )
+    reason = "no implemented criterion covers this trinomial"
+    if witness is not None:
+        trail.append(f"congruence-screen({witness.case.value})")
+        fact = splittings[2] = _splitting(T.poly(), 2)
+        problem = fact if isinstance(fact, str) else None
+        if problem is None and fact.regular:
+            # F_2 has two monic linear polynomials, so three primes of
+            # degree 1 above 2 make 2 a common index divisor.
+            p1 = sum(1 for f in fact.factors if f.f == 1)
+            if p1 < 3:
+                problem = "no common index divisor was found at 2"
+        if problem is not None:
+            # A certified-irreducible input failing engine confirmation
+            # means the code is wrong; a merely assumed one means the
+            # assumption was wrong, which is the user's honest answer.
+            if irr is not None:
+                raise InternalContradiction(f"congruence screen matched but {problem}")
+            trail.append("assumption-contradicted")
+            return result(
+                VerdictKind.INCONCLUSIVE,
+                congruence=witness,
+                reason="irreducibility was assumed but could not hold: " + problem,
+            )
+        if fact.regular:
             trail.append(f"common-index-divisor(p=2, d=1, primes={p1} > 2)")
             return result(
                 VerdictKind.FIELD_NOT_MONOGENIC,
@@ -635,36 +624,42 @@ def verdict(
                 cid_count=p1,
                 cid_available=count_monic_irreducibles(2, 1),
             )
-
-    alpha = check_alpha_generator(T, gate, disc, bound)
-    if alpha is not None and alpha.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
-        trail.append(f"alpha-generator(p={alpha.p}, x={alpha.x}, y={alpha.y})")
-        if alpha.deltap_status is SquarefreeStatus.SQUARE_FREE:
-            kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_MONOGENIC
-            trail.append(f"stripped-discriminant-squarefree(p={alpha.p})")
-        else:
-            kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_CONDITIONAL
-            trail.append(f"stripped-discriminant-unresolved(p={alpha.p})")
-        return result(kind, p=alpha.p, alpha=alpha)
+        # The polygons at 2 neither confirm nor refute the screen's prediction.
+        trail.append("screen-unconfirmed(p=2, not regular)")
+        reason = (
+            f"congruence pattern {witness.case.value} matched, but the polygon "
+            "data at 2 is not regular, so 2 is not confirmed as a common index "
+            f"divisor; the order-1 index lower bound at 2 is {fact.index_lower_bound}"
+        )
+    else:
+        alpha = check_alpha_generator(T, gate, disc, bound)
+        if alpha is not None and alpha.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
+            trail.append(f"alpha-generator(p={alpha.p}, x={alpha.x}, y={alpha.y})")
+            if alpha.deltap_status is SquarefreeStatus.SQUARE_FREE:
+                kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_MONOGENIC
+                trail.append(f"stripped-discriminant-squarefree(p={alpha.p})")
+            else:
+                kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_CONDITIONAL
+                trail.append(f"stripped-discriminant-unresolved(p={alpha.p})")
+            return result(kind, p=alpha.p, alpha=alpha)
 
     if irr is None:
         F = T.poly()
         for p in square_primes(disc, bound):
-            splittings[p] = _splitting(F, p)
+            if p not in splittings:
+                splittings[p] = _splitting(F, p)
         errors = [s for s in splittings.values() if isinstance(s, str)]
         if errors:
             trail.append("assumption-contradicted")
             return result(
                 VerdictKind.INCONCLUSIVE,
+                congruence=witness,
                 reason="irreducibility was assumed but could not hold: " + errors[-1],
                 reached_bounds=True,
             )
-    trail.append("no-criterion-applied")
-    return result(
-        VerdictKind.INCONCLUSIVE,
-        reason="no implemented criterion covers this trinomial",
-        reached_bounds=True,
-    )
+    if witness is None:
+        trail.append("no-criterion-applied")
+    return result(VerdictKind.INCONCLUSIVE, congruence=witness, reason=reason, reached_bounds=True)
 
 
 analyze_trinomial = verdict

@@ -16,6 +16,7 @@ no precision knobs anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -23,6 +24,35 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .exactnum import INFINITY, is_probable_prime, valp
+
+
+def _power(base, e: int, one, mul):
+    """base**e for e >= 0 by square-and-multiply, with the product ``mul``.
+
+    The bits of e are read from the lowest: no product is taken with
+    ``one``, which is returned only for e = 0, and the base is not squared
+    after the top bit.
+    """
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else mul(out, base)
+        e >>= 1
+        if not e:
+            return one if out is None else out
+        base = mul(base, base)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 class PolyZ:
@@ -109,27 +139,12 @@ class PolyZ:
         return self + (-other)
 
     def __mul__(self, other: "PolyZ") -> "PolyZ":
-        if self.is_zero() or other.is_zero():
-            return PolyZ()
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PolyZ(out)
+        return PolyZ(_convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "PolyZ":
         if e < 0:
             raise ValueError("negative power")
-        out = PolyZ((1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, PolyZ((1,)), PolyZ.__mul__)
 
     def scale(self, c: int) -> "PolyZ":
         return PolyZ(c * a for a in self.coeffs)
@@ -168,12 +183,7 @@ class PolyZ:
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        import math
-
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> tuple[int, "PolyZ"]:
         """(content, self/content); signs stay with the polynomial part."""
@@ -592,11 +602,7 @@ class FqField:
         p = self.p
         if self.deg == 1:
             return a * b % p
-        conv = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
+        conv = _convolve(a, b)
         _, rem = _digits_divmod([c % p for c in conv], self.modulus, p)
         rem += [0] * (self.deg - len(rem))
         return tuple(rem)
@@ -615,14 +621,7 @@ class FqField:
             return self.pow(self.inv(a), -e)
         if self.deg == 1:
             return pow(a, e, self.p)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(a, e, self.one, self.mul)
 
     # -- polynomials over the field ---------------------------------------------
 
@@ -770,14 +769,7 @@ class FqPoly:
     def __pow__(self, e: int) -> "FqPoly":
         if e < 0:
             raise ValueError("negative power")
-        out = self.field.poly([1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self.field.poly([1]), FqPoly.__mul__)
 
     def divrem(self, den: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
         self._check(den)
@@ -838,25 +830,13 @@ class FqPoly:
         if e < 0:
             raise ValueError("negative exponent")
         fld = self.field
-        if fld.deg == 1 and e:
+        if fld.deg == 1:
             # Over the prime field the whole loop runs on digit lists.
             p, m = fld.p, mod.coeffs
             base = _digits_divmod(self.coeffs, m, p)[1]
-            acc = [1]
-            while e:
-                if e & 1:
-                    acc = _digits_divmod(_digits_mul(acc, base, p), m, p)[1]
-                base = _digits_divmod(_digits_mul(base, base, p), m, p)[1]
-                e >>= 1
-            return FqPoly(fld, acc)
-        out = fld.poly([1])
-        base = self % mod
-        while e:
-            if e & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return out
+            return FqPoly(fld, _power(
+                base, e, [1], lambda x, y: _digits_divmod(_digits_mul(x, y, p), m, p)[1]))
+        return _power(self % mod, e, fld.poly([1]), lambda x, y: (x * y) % mod)
 
     def derivative(self) -> "FqPoly":
         fld = self.field

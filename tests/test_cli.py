@@ -8,6 +8,7 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 ``trinogen`` console script.
 """
 
+import ast
 import concurrent.futures
 import functools
 import importlib
@@ -252,6 +253,14 @@ class TestAnalyzeExitCodes:
     def test_uncertified_exit(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--n", "2", "--a", "1", "--b", "-1")
         assert code == EXIT_UNCERTIFIED
+
+    def test_unconfirmed_screen_exits_ok(self, capsys):
+        # x^16 + 48x + 303 is certified irreducible and matches a screen that
+        # its irregular polygon data at 2 cannot confirm.
+        code, out, _ = run_cli(capsys, "analyze", "--n", "16", "--a", "48", "--b", "303")
+        assert code == EXIT_OK
+        assert "verdict: Inconclusive\n" in out
+        assert "  index at 2: 15 (lower bound)\n  index at 3: 0 (exact)\n" in out
 
     def test_assume_flag_flips_exit(self, capsys):
         code, _, _ = run_cli(
@@ -736,27 +745,13 @@ def test_index_column_matches_full_analysis(capsys, tmp_path, box, jobs):
     assert any(bound not in (None, "0") for bound in column) and None in column
 
 
-def test_screen_row_reads_its_index_off_the_verdict(monkeypatch):
-    # x^8 + 12x + 3 matches a congruence screen, so its verdict already holds
-    # the splitting at 2, and the row's index column is read off it.
-    fact = verdict(Trinomial(8, 1, 12, 3)).splittings[2]
-    calls = []
-    polygon_index = ore.polygon_index
-    monkeypatch.setattr(ore, "polygon_index",
-                        lambda F, p: calls.append(p) or polygon_index(F, p))
-    classes: dict = {}
-    row = cli._scan_row((3, 1, 12, 3), classes)
-    assert (row["kind"], row["index_lower_bound_2"]) == (
-        "FieldNotMonogenic", str(fact.index_lower_bound))
-    assert calls == [] and classes == {}
-    # A row without a screen still computes the column.
-    assert cli._scan_row((3, 1, 8, 8), {})["index_lower_bound_2"] is not None
-    assert calls == [2]
-    # A splitting that raised MalformedInput gives no index.
-    monkeypatch.setattr(cli, "verdict", lambda T, **kwargs: verdict(T, **kwargs)._replace(
-        splittings={2: "input is divisible by x - 1, hence reducible"}))
-    assert cli._scan_row((3, 1, 12, 3), {})["index_lower_bound_2"] is None
-    assert calls == [2]
+def test_screen_row_index_equals_its_verdicts_splitting():
+    # A congruence-screen row's verdict holds the splitting at 2; the row's
+    # column, read off the class table, is that splitting's index.
+    for item in ((3, 1, 12, 3), (4, 1, 24, 39), (4, 1, 48, 303)):
+        r, m, a, b = item
+        fact = verdict(Trinomial(2**r, m, a, b)).splittings[2]
+        assert cli._scan_row(item, {})["index_lower_bound_2"] == str(fact.index_lower_bound)
 
 
 def test_class_table_answers_members_and_stores_no_failure(monkeypatch):
@@ -840,10 +835,7 @@ def certified_inconclusive(rng, degrees, coprime_m, count=6):
         p = rng.choice((2, 3, 5, 7))
         a, b = p * rng.randint(-30, 30), p * rng.choice((-1, 1)) * rng.randint(1, 30)
         T = Trinomial(n, m, a, b)
-        try:
-            v = verdict(T)
-        except InternalContradiction:  # a screen's irregular prime, not this test's subject
-            continue
+        v = verdict(T)
         if v.irreducibility is not None and v.trail[-1] == "no-criterion-applied":
             found.append((T, v))
     return found
@@ -911,6 +903,19 @@ def test_facts_live_in_the_verdict_and_two_memos():
             if "cached_property" in path.read_text(encoding="utf-8")] == []
     assert sorted(name for name, _ in module_memos()) == [
         "exactnum.FACTORIZATIONS", "ffactor.FACTORIZATIONS"]
+
+
+def test_one_exponent_loop():
+    # Every power in the package goes through polyring._power.
+    package = Path(trinogen.__file__).parent
+    loops = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                loops += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+                          and getattr(node.value, "value", None) == 1]
+    assert loops == ["polyring._power"]
 
 
 def test_index_table_lives_for_one_scan(capsys, tmp_path, monkeypatch):
@@ -1192,9 +1197,21 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_UNCERTIFIED
 
     def test_internal_contradiction_is_one_line(self):
-        # The mod-16 screen matches, but x^16 + 80x + 335 is not 2-regular.
-        cmd, env = module_command("analyze", "--n", "16", "--a", "80", "--b", "335")
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        # No input meets a contradiction, so the child plants one: a rational
+        # factor of x^8 - 16x + 10, which is certified irreducible.
+        child = "\n".join([
+            "import sys",
+            "from trinogen import cli, ore",
+            "from trinogen.newton import MalformedInput",
+            "def planted(F, p):",
+            "    raise MalformedInput('planted rational factor')",
+            "ore.factor_p = planted",
+            "sys.argv = ['trinogen', 'analyze', '--n', '8', '--a', '-16', '--b', '10']",
+            "cli.entry()",
+        ])
+        _, env = module_command()
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=120)
         assert proc.returncode == EXIT_INTERNAL
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: internal contradiction: ")

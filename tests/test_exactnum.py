@@ -85,6 +85,8 @@ class TestStripP:
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             strip_p(p, 12)
         with pytest.raises(ValueError, match="modulus must be >= 2"):
+            strip_p(p, 0)  # the modulus is checked before t
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
             strip_factored(p, 12, 100)
 
 

@@ -63,14 +63,6 @@ class TestTrinomial:
         with pytest.raises(ValueError):
             Trinomial(n, m, 1, b)
 
-    def test_gcd_split(self):
-        T = Trinomial(6, 4, 5, 7)
-        assert (T.d0, T.n1, T.m1) == (2, 3, 2)
-        T = Trinomial(9, 3, 5, 7)
-        assert (T.d0, T.n1, T.m1) == (3, 3, 1)
-        T = Trinomial(8, 3, 5, 7)
-        assert (T.d0, T.n1, T.m1) == (1, 8, 3)
-
     def test_power_of_two_exponent(self):
         assert Trinomial(2, 1, 1, 1).r == 1
         assert Trinomial(8, 1, 1, 1).r == 3
@@ -744,6 +736,46 @@ class TestVerdictPipeline:
             "common-index-divisor(p=2, d=1, primes=4 > 2)",
         )
         assert (v.cid_degree, v.cid_count, v.cid_available) == (1, 4, 2)
+
+    # A screen whose polygon data at 2 is not regular: the order-1 index
+    # bound at 2 is 15, and no splitting of 2 is known.
+    UNCONFIRMED_REASON = (
+        "congruence pattern mod32 matched, but the polygon data at 2 is not "
+        "regular, so 2 is not confirmed as a common index divisor; the order-1 "
+        "index lower bound at 2 is 15"
+    )
+
+    def test_certified_screen_not_2_regular_is_inconclusive(self):
+        # x^16 + 48x + 303 is 3-Eisenstein and matches the mod-32 pattern.
+        v = verdict(Trinomial(16, 1, 48, 303))
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert v.trail == (
+            "irreducible(eisenstein, p=3)",
+            "congruence-screen(mod32)",
+            "screen-unconfirmed(p=2, not regular)",
+        )
+        assert v.reason == self.UNCONFIRMED_REASON
+        assert v.congruence.case is CongruenceCase.MOD32 and v.reached_bounds
+        assert [(p, s.regular, s.index_lower_bound) for p, s in v.splittings.items()] == [
+            (2, False, 15)
+        ]
+        assert v.p is None and v.cid_degree is None
+
+    def test_assumed_screen_not_2_regular_is_inconclusive(self):
+        # x^16 - 176x + 15 carries no certificate; under the assumption the
+        # unconfirmed screen is no evidence against it.
+        v = verdict(Trinomial(16, 1, -176, 15), assume_irreducible=True)
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert v.trail == (
+            "irreducible(assumed)",
+            "congruence-screen(mod32)",
+            "screen-unconfirmed(p=2, not regular)",
+        )
+        assert v.reason == self.UNCONFIRMED_REASON
+        assert v.irreducibility_assumed and v.reached_bounds
+        assert [(p, s.regular, s.index_lower_bound) for p, s in v.splittings.items()] == [
+            (2, False, 15), (3, True, 0), (5, True, 0)
+        ]
 
     def test_mod16_pattern_needs_assumption(self):
         # x^16 + 8x + 7 matches the mod-16 residue pattern but carries no

@@ -27,6 +27,7 @@ from trinogen.polyring import (
     PhiDevelopment,
     PolyZ,
     _digits_mul,
+    _power,
     discriminant,
     get_field,
     phi_expand,
@@ -35,6 +36,65 @@ from trinogen.polyring import (
     reduce_mod,
     resultant,
 )
+
+
+# 0, 1, 2, 3, and 2^k and 2^k - 1 for k = 3 and 5: no set bit, one set bit,
+# only set bits.
+POWER_EXPONENTS = (0, 1, 2, 3, 7, 8, 31, 32)
+
+
+def repeated(mul, one, base, e):
+    """base**e as e products, the reference for every power method."""
+    out = one
+    for _ in range(e):
+        out = mul(out, base)
+    return out
+
+
+class TestPowerLoop:
+    def test_products_taken(self):
+        # One squaring per bit below the top and one product per further
+        # set bit: none with one, none after the top bit.
+        for e in POWER_EXPONENTS + (5, 6, 100):
+            calls = []
+
+            def mul(x, y):
+                calls.append((x, y))
+                return x * y
+
+            assert _power(3, e, 1, mul) == 3**e
+            squarings = max(e.bit_length() - 1, 0)
+            assert len(calls) == squarings + max(bin(e).count("1") - 1, 0), e
+            assert all(1 not in pair for pair in calls), e
+
+    def test_polyz(self):
+        f = PolyZ([2, -1, 3])
+        for e in POWER_EXPONENTS:
+            assert f**e == repeated(PolyZ.__mul__, PolyZ([1]), f, e), e
+
+    def test_extension_field_element(self):
+        F = get_field(3, (2, 2, 0, 1))  # t^3 + 2t + 2, irreducible over F_3
+        for e in POWER_EXPONENTS:
+            for a in (F.one, F.elem([0, 1]), F.elem([2, 1, 1])):
+                assert F.pow(a, e) == repeated(F.mul, F.one, a, e), (a, e)
+            assert F.pow(F.zero, e) == (F.one if e == 0 else F.zero), e
+
+    @pytest.mark.parametrize("field", [(5,), (3, (1, 0, 1))])
+    def test_fqpoly(self, field):
+        F = get_field(*field)
+        f = F.poly([F.from_int(k) for k in (1, 2, 0, 4)])
+        for e in POWER_EXPONENTS:
+            assert f**e == repeated(FqPoly.__mul__, F.poly([1]), f, e), e
+
+    @pytest.mark.parametrize("field", [(5,), (3, (1, 0, 1))])
+    def test_pow_mod_both_branches(self, field):
+        # F_5 runs the digit-list branch, F_9 the element-wise one.
+        F = get_field(*field)
+        mod = F.poly([F.from_int(k) for k in (2, 1, 0, 3, 1)])
+        for f in (F.poly([F.from_int(k) for k in (1, 2, 0, 4, 3, 1)]), F.poly([0, 1])):
+            for e in POWER_EXPONENTS:
+                expected = repeated(lambda x, y: (x * y) % mod, F.poly([1]), f, e)
+                assert f.pow_mod(e, mod) == expected, (f, e)
 
 
 class TestPolyZBasics:
