@@ -15,7 +15,6 @@ from .monogenity import (
     SquarefreeStatus,
     Trinomial,
     VerdictKind,
-    analyze_trinomial,
     disc_trinomial,
     verdict,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SquarefreeStatus",
     "Trinomial",
     "VerdictKind",
-    "analyze_trinomial",
     "disc_trinomial",
     "factor_p",
     "index_bound",

@@ -69,10 +69,10 @@ MAX_JOBS = 64
 # -- serialization helpers -----------------------------------------------------
 
 
-def _digest(value: int, bound: int | None = None) -> str:
+def _digest(value: int) -> str:
     """Bounded factorization digest like ``2^24 * 1273609``.
 
-    Factors are found by trial division up to the squarefree bound; an
+    Factors are found by trial division up to ``monogenity.SF_BOUND``; an
     unfactored composite cofactor simply appears as its decimal value.
     """
     if value == 0:
@@ -81,9 +81,7 @@ def _digest(value: int, bound: int | None = None) -> str:
     t = abs(value)
     if t == 1:
         return sign + "1"
-    if bound is None:
-        bound = monogenity._sf_bound()
-    small, cofactor = factored(t, bound)
+    small, cofactor = factored(t, monogenity.SF_BOUND)
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in small]
     if cofactor > 1:
         parts.append(str(cofactor))
@@ -179,7 +177,8 @@ def _alpha_dict(cert: monogenity.AlphaCert) -> dict:
         "alpha": f"theta^{cert.x} / {cert.p}^{cert.y}",
         "min_poly_coeffs": _poly_str_coeffs(cert.H),
         "min_poly_str": str(cert.H),
-        "eisenstein_ok": cert.eisenstein_ok,
+        # No certificate is built unless H is p-Eisenstein.
+        "eisenstein_ok": True,
         "stripped_disc_status": cert.deltap_status.value,
         "polygon_index": str(cert.polygon_index),
     }
@@ -221,12 +220,12 @@ def build_report(
 ) -> dict:
     """The full analysis report as a JSON-ready dict (all math ints as strings).
 
-    The discriminant, the squarefree bound and the splittings the verdict
-    built are read off the verdict; each splitting it lacks is built here
-    once, and both the evidence and the index bounds are read from them.
+    The discriminant and the splittings the verdict built are read off the
+    verdict; each splitting it lacks is built here once, and both the
+    evidence and the index bounds are read from them.
     """
-    disc, bound = v.disc, v.sf_bound
-    square = monogenity.square_primes(disc, bound)
+    disc = v.disc
+    square = monogenity.square_primes(disc)
     if only_p is not None:
         primes = [only_p]
     else:
@@ -241,13 +240,13 @@ def build_report(
     for p in primes:
         if disc == 0:
             break
-        stripped = strip_factored(p, disc, bound)
+        stripped = strip_factored(p, disc, monogenity.SF_BOUND)
         disc_primes.append(
             {
                 "p": str(p),
                 "nu": str(stripped.nu),
-                "stripped_digest": _digest(stripped.unit_part, bound),
-                "stripped_status": squarefree_status(stripped.unit_part, bound).value,
+                "stripped_digest": _digest(stripped.unit_part),
+                "stripped_status": squarefree_status(stripped.unit_part).value,
             }
         )
 
@@ -295,7 +294,7 @@ def build_report(
         "trinomial": str(T),
         "discriminant": {
             "value": str(disc),
-            "digest": _digest(disc, bound),
+            "digest": _digest(disc),
             "primes": disc_primes,
         },
         "evidence": evidence,
@@ -512,7 +511,7 @@ def _class_index(T: Trinomial, classes: dict) -> int | None:
     return index
 
 
-def _scan_row(item: tuple[int, int, int, int], classes: dict, bound: int | None = None) -> dict:
+def _scan_row(item: tuple[int, int, int, int], classes: dict) -> dict:
     r, m, a, b = item
     start = time.perf_counter_ns()
     row: dict = {"r": str(r), "m": str(m), "a": str(a), "b": str(b)}
@@ -523,7 +522,7 @@ def _scan_row(item: tuple[int, int, int, int], classes: dict, bound: int | None 
     except ValueError:
         pass
     else:
-        v = verdict(T, bound=bound)
+        v = verdict(T)
         if v.irreducibility is None:
             kind = "skipped"
         else:
@@ -559,11 +558,11 @@ def _row_line(row: dict, fmt: str) -> str:
 _WORKER_CLASSES: dict | None = None
 
 
-def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str, bound: int) -> str:
-    """The output lines of ``items``' rows under the squarefree ``bound``: a
-    worker formats them, so the parent only writes.  The rows read and fill
-    the worker's class table, ``_WORKER_CLASSES``."""
-    return "".join(_row_line(_scan_row(item, _WORKER_CLASSES, bound), fmt) for item in items)
+def _scan_chunk(items: list[tuple[int, int, int, int]], fmt: str) -> str:
+    """The output lines of ``items``' rows: a worker formats them, so the
+    parent only writes.  The rows read and fill the worker's class table,
+    ``_WORKER_CLASSES``."""
+    return "".join(_row_line(_scan_row(item, _WORKER_CLASSES), fmt) for item in items)
 
 
 def _start_worker() -> None:
@@ -577,17 +576,17 @@ def _start_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_text(pool, items, jobs: int, fmt: str, bound: int):
+def _pool_text(pool, items, jobs: int, fmt: str):
     """The output of ``items``' rows in order, one chunk at a time, computed
     on ``pool`` through a window of POOL_WINDOW chunks per worker, refilled
     as each chunk is taken."""
     chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
-    window = deque(pool.submit(_scan_chunk, c, fmt, bound)
+    window = deque(pool.submit(_scan_chunk, c, fmt)
                    for c in islice(chunks, POOL_WINDOW * jobs))
     while window:
         text = window.popleft().result()
         for chunk in islice(chunks, 1):
-            window.append(pool.submit(_scan_chunk, chunk, fmt, bound))
+            window.append(pool.submit(_scan_chunk, chunk, fmt))
         yield text
 
 
@@ -635,10 +634,6 @@ def cmd_scan(args) -> int:
         print(f"error: m={args.m} is out of range for r={r0}", file=sys.stderr)
         return EXIT_USAGE
     items = ((r, args.m, a, b) for r in r_range for a in a_range for b in b_range)
-    # Read once for every row, and before the output is opened: a malformed
-    # bound leaves stdout and the file untouched.
-    bound = monogenity._sf_bound()
-
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
@@ -651,14 +646,14 @@ def cmd_scan(args) -> int:
         if args.jobs == 1:
             classes: dict = {}
             for item in items:
-                out.write(_row_line(_scan_row(item, classes, bound), args.format))
+                out.write(_row_line(_scan_row(item, classes), args.format))
         else:
             # Imported here: it loads multiprocessing, which no other
             # command needs.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_start_worker)
-            for text in _pool_text(pool, items, args.jobs, args.format, bound):
+            for text in _pool_text(pool, items, args.jobs, args.format):
                 out.write(text)
     finally:
         if out is not sys.stdout:
@@ -716,7 +711,7 @@ KNOWN_ANSWERS = (
     ("x^8+8x+8", "alpha (p, x, y)", (2, 3, 1),
      lambda: attrgetter("p", "x", "y")(verdict(_ALPHA8).alpha)),
     ("x^8+8x+8", "alpha min poly 2-Eisenstein", True,
-     lambda: verdict(_ALPHA8).alpha.eisenstein_ok),
+     lambda: monogenity._is_eisenstein(verdict(_ALPHA8).alpha.H, 2)),
     ("x^8+8x+8", "min poly of theta^3/2", (2, 4, 0, -6, 0, 0, 0, 0, 1),
      lambda: verdict(_ALPHA8).alpha.H.coeffs),
     ("x^8+8x+8", "index bound at 2", (7, True),
@@ -744,7 +739,7 @@ KNOWN_ANSWERS = (
     ("x^16+24x^15+8", "alpha (p, x, y)", (2, 11, 2),
      lambda: attrgetter("p", "x", "y")(_pow2_16()[1])),
     ("x^16+24x^15+8", "alpha min poly 2-Eisenstein", True,
-     lambda: _pow2_16()[1].eisenstein_ok),
+     lambda: monogenity._is_eisenstein(_pow2_16()[1].H, 2)),
     ("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic",
      lambda: verdict(_ALPHA16).kind.value),
     ("x^64-65", "pure-field screen", "mod32",
@@ -857,10 +852,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except ValueError as exc:
-        # Validation errors raised below the argument parser (for example a
-        # malformed TRINOGEN_SF_BOUND) are user input errors, not crashes.
+        # Validation errors raised below the argument parser are user input
+        # errors, not crashes.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+class _StdoutClosed(Exception):
+    """A command wrote to a stdout that was closed when the process started."""
+
+
+class _ClosedStdout:
+    """Stands in for ``sys.stdout``, which Python sets to None when file
+    descriptor 1 is closed at start.  The first write raises, so a command
+    that prints stops there; one that writes only to a file runs as usual."""
+
+    def write(self, text: str) -> int:
+        raise _StdoutClosed
+
+    def flush(self) -> None:
+        pass
 
 
 def _interrupt(signum, frame):
@@ -876,9 +887,13 @@ def entry() -> None:
     SIGTERM unwind the command and exit quietly with 128 plus the signal
     number: 130 and 143.  An ``InternalContradiction`` is a bug, not an
     answer: it prints one line to stderr and exits with EXIT_INTERNAL.
-    ``main`` itself lets it propagate.
+    ``main`` itself lets it propagate.  A command that writes to a stdout
+    closed from the start prints one line to stderr, if stderr is open, and
+    exits with status 1.
     """
     signal.signal(signal.SIGTERM, _interrupt)
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = main()
         sys.stdout.flush()
@@ -888,6 +903,11 @@ def entry() -> None:
     except monogenity.InternalContradiction as exc:
         print(f"error: internal contradiction: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)
+    except _StdoutClosed:
+        # print() with file=None would write to sys.stdout, which raises.
+        if sys.stderr is not None:
+            print("error: stdout is closed", file=sys.stderr)
+        sys.exit(EXIT_VERIFY_FAILED)
     except BrokenPipeError:
         # Python flushes stdout again at exit; point it at devnull so that
         # flush cannot fail a second time (the recipe in the signal docs).

@@ -23,8 +23,8 @@ machine-checkable evidence:
   read from; a scan row builds none.
 
 A verdict is the one record of what was learnt about its trinomial: the
-discriminant, the squarefree bound in force, and every splitting the
-verdict itself built, each computed once.
+discriminant and every splitting the verdict itself built, each computed
+once.  Trial division stops at the fixed bound SF_BOUND = 10**6.
 
 Everything is exact integer arithmetic; nothing is sampled or approximated.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,26 +61,13 @@ class InternalContradiction(RuntimeError):
     """
 
 
-DEFAULT_SF_BOUND = 10**6
-# The prime sieve and the block products both grow with the bound.
-MAX_SF_BOUND = 10**7
-
-_SF_BOUND_ENV = "TRINOGEN_SF_BOUND"
+# The trial-division bound of every squarefree test, factorization digest
+# and candidate-prime search.
+SF_BOUND = 10**6
 
 
-def _sf_bound() -> int:
-    raw = os.environ.get(_SF_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SF_BOUND
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_SF_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if not 2 <= bound <= MAX_SF_BOUND:
-        raise ValueError(
-            f"{_SF_BOUND_ENV} must be between 2 and {MAX_SF_BOUND}, got {bound}"
-        )
-    return bound
+def _sf_bound() -> int:  # bench/checks.py reads the bound through this function
+    return SF_BOUND
 
 
 @dataclass(frozen=True)
@@ -143,22 +129,19 @@ class SquarefreeStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-def squarefree_status(t: int, bound: int | None = None) -> SquarefreeStatus:
+def squarefree_status(t: int) -> SquarefreeStatus:
     """Best-effort squarefree certificate for a nonzero integer.
 
-    Trial division up to ``bound`` (default 10**6, overridable up to 10**7
-    via the TRINOGEN_SF_BOUND environment variable; the factorization is
-    shared through ``exactnum.factored``), then a primality test and a
-    perfect-power check on the cofactor.  SquareFree is returned only when the
-    factorization into distinct primes is fully certified; a probable prime
+    Trial division up to SF_BOUND (the factorization is shared through
+    ``exactnum.factored``), then a primality test and a perfect-power check
+    on the cofactor.  SquareFree is returned only when the factorization
+    into distinct primes is fully certified; a probable prime
     above the deterministic-test range yields Unknown, as does an
     unfactored composite cofactor.
     """
     if t == 0:
         raise ValueError("squarefree status of 0 is undefined")
-    if bound is None:
-        bound = _sf_bound()
-    small, cofactor = factored(t, bound)
+    small, cofactor = factored(t, SF_BOUND)
     if any(e >= 2 for _, e in small):
         return SquarefreeStatus.NOT_SQUARE_FREE
     if cofactor == 1:
@@ -187,24 +170,24 @@ class IrreducibilityCertificate:
     p: int
 
 
-def _candidate_primes(T: Trinomial, bound: int) -> list[int]:
+def _candidate_primes(T: Trinomial) -> list[int]:
     """Primes dividing both a and b (or just b when a = 0), ascending.
 
-    The scan is bounded: primes found by trial division up to ``bound``
+    The scan is bounded: primes found by trial division up to SF_BOUND
     plus a fully certified prime cofactor, so very large prime divisors
     beyond the bound may be missed (the verdict then degrades gracefully).
     """
     base = abs(T.b) if T.a == 0 else math.gcd(abs(T.a), abs(T.b))
     if base <= 1:
         return []
-    small, cofactor = factored(base, bound)
+    small, cofactor = factored(base, SF_BOUND)
     out = [p for p, _ in small]
     if cofactor > 1 and is_certified_prime(cofactor):
         out.append(cofactor)
     return out
 
 
-def _one_sided_primes(T: Trinomial, bound: int) -> list[tuple[int, int]]:
+def _one_sided_primes(T: Trinomial) -> list[tuple[int, int]]:
     """The one-sided gate: (p, k = nu_p(b)) at candidate primes, ascending.
 
     A prime passes where the phi = x polygon of F at p is one side of
@@ -215,7 +198,7 @@ def _one_sided_primes(T: Trinomial, bound: int) -> list[tuple[int, int]]:
     """
     n, m, a = T.n, T.m, T.a
     out = []
-    for p in _candidate_primes(T, bound):
+    for p in _candidate_primes(T):
         k = valp(p, T.b)
         if math.gcd(n, k) == 1 and (a == 0 or n * valp(p, a) > (n - m) * k):
             out.append((p, k))
@@ -244,7 +227,7 @@ def irreducibility_certificate(
     on the actual polynomial before returning.
     """
     if gate is None:
-        gate = _one_sided_primes(T, _sf_bound())
+        gate = _one_sided_primes(T)
     if not gate:
         return None
     p, k = gate[0]
@@ -274,8 +257,8 @@ class AlphaCert:
 
     H is the exact minimal polynomial of alpha over Q: the characteristic
     polynomial of theta**x with its coefficients rescaled by powers of p.
-    ``eisenstein_ok`` records that H passed the p-Eisenstein check, which
-    simultaneously proves H irreducible (hence minimal) and nu_p-integrality.
+    H is p-Eisenstein, or no certificate is built; that proves H irreducible
+    (hence minimal) and nu_p-integrality at once.
     ``deltap_status`` is the squarefree status of disc(F) with its p-part
     removed; SquareFree upgrades the verdict to an unconditional one.
     """
@@ -285,12 +268,11 @@ class AlphaCert:
     x: int
     y: int
     H: PolyZ
-    eisenstein_ok: bool
     deltap_status: SquarefreeStatus
     polygon_index: int
 
 
-def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int, bound: int) -> AlphaCert:
+def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     n = T.n
     F = T.poly()
 
@@ -317,14 +299,13 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int, bound: int) -> Al
         raise InternalContradiction("alpha minimal polynomial has wrong shape")
     if not _is_eisenstein(H, p):
         raise InternalContradiction("alpha minimal polynomial is not p-Eisenstein")
-    status = squarefree_status(strip_factored(p, disc, bound).unit_part, bound)
+    status = squarefree_status(strip_factored(p, disc, SF_BOUND).unit_part)
     return AlphaCert(
         p=p,
         k=k,
         x=x,
         y=y,
         H=H,
-        eisenstein_ok=True,
         deltap_status=status,
         polygon_index=expected,
     )
@@ -334,7 +315,6 @@ def check_alpha_generator(
     T: Trinomial,
     gate: list[tuple[int, int]] | None = None,
     disc: int | None = None,
-    bound: int | None = None,
 ) -> AlphaCert | None:
     """Find a prime p where alpha = theta**x / p**y provably generates Z_K.
 
@@ -343,13 +323,11 @@ def check_alpha_generator(
     p-Eisenstein.  The first whose stripped discriminant is certified
     squarefree wins; failing that, the first with an Unknown status; a
     NotSquareFree status is reported only when no better prime exists.
-    ``verdict`` passes in the gate, the discriminant and the squarefree
-    bound it already holds; whatever is omitted is computed here.
+    ``verdict`` passes in the gate and the discriminant it already holds;
+    whatever is omitted is computed here.
     """
-    if bound is None:
-        bound = _sf_bound()
     if gate is None:
-        gate = _one_sided_primes(T, bound)
+        gate = _one_sided_primes(T)
     gate = [(p, k) for p, k in gate if k >= 2]
     if not gate:
         return None
@@ -359,7 +337,7 @@ def check_alpha_generator(
         return None
     fallback: AlphaCert | None = None
     for p, k in gate:
-        cert = _build_alpha_cert(T, p, k, disc, bound)
+        cert = _build_alpha_cert(T, p, k, disc)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
             return cert
         if fallback is None or (
@@ -385,13 +363,12 @@ def check_alpha_generator_pow2(
     if r < 1:
         raise ValueError("r must be >= 1")
     T = Trinomial(n=2**r, m=m, a=a, b=b)
-    bound = _sf_bound()
     disc = disc_trinomial(T)
     # The gate's gcd(2**r, k) = 1 already makes k odd.
-    for p, k in _one_sided_primes(T, bound):
+    for p, k in _one_sided_primes(T):
         if k < 3 or (a != 0 and valp(p, a) < k):
             continue
-        cert = _build_alpha_cert(T, p, k, disc, bound)
+        cert = _build_alpha_cert(T, p, k, disc)
         if cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
             return True, cert
     return False, None
@@ -477,8 +454,7 @@ class MonogenityVerdict(NamedTuple):
 
     It is also the one record of what the verdict computed about its
     trinomial, so a report reads these facts instead of computing them
-    again: ``disc`` is disc(F), and ``sf_bound`` is the squarefree bound
-    the verdict used.  ``splittings`` maps each prime at which
+    again: ``disc`` is disc(F).  ``splittings`` maps each prime at which
     the verdict built the splitting to ``ore.factor_p``'s result, or to the
     message of the ``MalformedInput`` it raised.  Those primes are 2 for a
     congruence screen, and ``square_primes`` too when irreducibility is
@@ -493,7 +469,6 @@ class MonogenityVerdict(NamedTuple):
     irreducibility_assumed: bool
     trail: tuple[str, ...]
     disc: int
-    sf_bound: int
     splittings: dict[int, OreFactorization | str]
     p: int | None = None
     alpha: AlphaCert | None = None
@@ -506,12 +481,12 @@ class MonogenityVerdict(NamedTuple):
     reached_bounds: bool = False
 
 
-def square_primes(disc: int, bound: int) -> list[int]:
-    """The primes p below ``bound`` with p**2 | disc, ascending; none when
+def square_primes(disc: int) -> list[int]:
+    """The primes p below SF_BOUND with p**2 | disc, ascending; none when
     disc = 0.  A report's evidence and index bounds are read at these."""
     if disc == 0:
         return []
-    small, _ = factored(disc, bound)
+    small, _ = factored(disc, SF_BOUND)
     return [p for p, e in small if e >= 2]
 
 
@@ -525,8 +500,7 @@ def _splitting(F: PolyZ, p: int) -> OreFactorization | str:
 
 
 def verdict(
-    T: Trinomial, assume_irreducible: bool = False, *,
-    disc: int | None = None, bound: int | None = None,
+    T: Trinomial, assume_irreducible: bool = False, *, disc: int | None = None
 ) -> MonogenityVerdict:
     """Run the full certificate pipeline on one trinomial.
 
@@ -540,13 +514,10 @@ def verdict(
     the assumption.  A certified input's bounds cannot change the verdict,
     so they are left to the report.
 
-    The squarefree bound, the discriminant and the one-sided gate are each
-    computed once and handed to the criteria.  ``disc`` is for a caller
-    that already computed ``disc_trinomial(T)``, and ``bound`` for one that
-    already read the squarefree bound.
+    The discriminant and the one-sided gate are each computed once and
+    handed to the criteria.  ``disc`` is for a caller that already computed
+    ``disc_trinomial(T)``.
     """
-    if bound is None:
-        bound = _sf_bound()
     if disc is None:
         disc = disc_trinomial(T)
     trail: list[str] = []
@@ -561,7 +532,6 @@ def verdict(
             irreducibility_assumed=assume_irreducible and irr is None,
             trail=tuple(trail),
             disc=disc,
-            sf_bound=bound,
             splittings=splittings,
             **evidence,
         )
@@ -572,7 +542,7 @@ def verdict(
             VerdictKind.INCONCLUSIVE,
             reason="discriminant is zero: the trinomial has repeated roots",
         )
-    gate = _one_sided_primes(T, bound)
+    gate = _one_sided_primes(T)
     irr = irreducibility_certificate(T, gate)
     if irr is not None:
         trail.append(f"irreducible({irr.route}, p={irr.p})")
@@ -632,7 +602,7 @@ def verdict(
             f"divisor; the order-1 index lower bound at 2 is {fact.index_lower_bound}"
         )
     else:
-        alpha = check_alpha_generator(T, gate, disc, bound)
+        alpha = check_alpha_generator(T, gate, disc)
         if alpha is not None and alpha.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
             trail.append(f"alpha-generator(p={alpha.p}, x={alpha.x}, y={alpha.y})")
             if alpha.deltap_status is SquarefreeStatus.SQUARE_FREE:
@@ -645,7 +615,7 @@ def verdict(
 
     if irr is None:
         F = T.poly()
-        for p in square_primes(disc, bound):
+        for p in square_primes(disc):
             if p not in splittings:
                 splittings[p] = _splitting(F, p)
         errors = [s for s in splittings.values() if isinstance(s, str)]
@@ -660,6 +630,3 @@ def verdict(
     if witness is None:
         trail.append("no-criterion-applied")
     return result(VerdictKind.INCONCLUSIVE, congruence=witness, reason=reason, reached_bounds=True)
-
-
-analyze_trinomial = verdict

@@ -34,6 +34,7 @@ from trinogen.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     SCAN_COLUMNS,
     _digest,
     _glue_range_values,
@@ -73,8 +74,9 @@ class TestDigest:
         assert _digest(2**24 * 1273609) == "2^24 * 1273609"
 
     def test_unfactored_cofactor_shown_as_decimal(self):
+        # Two primes above the bound, and their product above its square.
         p, q = 10**7 + 19, 10**7 + 79
-        assert _digest(2 * p * q, bound=100) == f"2 * {p * q}"
+        assert _digest(2 * p * q) == f"2 * {p * q}"
 
 
 class TestParseRange:
@@ -313,14 +315,6 @@ class TestAnalyzeExitCodes:
         finally:
             sys.set_int_max_str_digits(default)
         assert code == EXIT_USAGE and f"the {digits - 1} decimal digits" in err
-
-    def test_invalid_squarefree_bound_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRINOGEN_SF_BOUND", "abc")
-        code, out, err = run_cli(capsys, "analyze", "--n", "8", "--a", "12", "--b", "3")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error:")
-        assert "TRINOGEN_SF_BOUND" in err
 
 
 # -- scan ------------------------------------------------------------------------
@@ -585,10 +579,10 @@ def recording_pools(monkeypatch):
 )
 def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
     divided, analysed, computed, discs = Counter(), Counter(), Counter(), Counter()
-    gates, bounds = Counter(), Counter()
+    gates = Counter()
     trial_factor, factor_p, fq_factor = exactnum.trial_factor, ore.factor_p, ffactor._factor
     disc_trinomial = monogenity.disc_trinomial
-    one_sided_primes, sf_bound = monogenity._one_sided_primes, monogenity._sf_bound
+    one_sided_primes = monogenity._one_sided_primes
 
     def counting_trial_factor(t, bound):
         divided[abs(t), bound] += 1
@@ -606,13 +600,9 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         discs[T] += 1
         return disc_trinomial(T)
 
-    def counting_one_sided_primes(T, *args):
+    def counting_one_sided_primes(T):
         gates[T] += 1
-        return one_sided_primes(T, *args)
-
-    def counting_sf_bound():
-        bounds["read"] += 1
-        return sf_bound()
+        return one_sided_primes(T)
 
     counting = {
         id(trial_factor): counting_trial_factor,
@@ -620,7 +610,6 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         id(fq_factor): counting_fq_factor,
         id(disc_trinomial): counting_disc_trinomial,
         id(one_sided_primes): counting_one_sided_primes,
-        id(sf_bound): counting_sf_bound,
     }
 
     # Replace each function under every name a trinogen module holds it by.
@@ -638,19 +627,6 @@ def test_report_computes_each_fact_once(capsys, monkeypatch, argv):
         assert computed and set(computed.values()) == {run}, computed
         assert len(discs) == 1 and set(discs.values()) == {run}, discs
         assert len(gates) == 1 and set(gates.values()) == {run}, gates
-        assert bounds["read"] == run, bounds
-
-
-def test_report_uses_the_bound_its_verdict_read(monkeypatch):
-    # disc(x^8 + 12x + 3) = 2^16 * 3^7 * 41 * 89 * 677; a bound of 10 would
-    # leave 41 * 89 * 677 unfactored in the digest.
-    T = Trinomial(8, 1, 12, 3)
-    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
-    v = verdict(T)
-    report = build_report(T, v)
-    monkeypatch.setenv("TRINOGEN_SF_BOUND", "10")
-    assert build_report(T, v) == report
-    assert build_report(T, verdict(T)) != report
 
 
 def test_scan_factors_each_polynomial_once(capsys, tmp_path, monkeypatch):
@@ -848,7 +824,7 @@ def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
         # The verdict left the bounds to the report.
         assert v.reached_bounds and v.splittings == {}
         lazy = build_report(T, v)
-        square = monogenity.square_primes(v.disc, v.sf_bound)
+        square = monogenity.square_primes(v.disc)
         eager = build_report(T, v._replace(
             splittings={p: ore.factor_p(T.poly(), p) for p in square}))
         assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)
@@ -865,7 +841,7 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
     T = Trinomial(8, 1, -16, 10)
     v = verdict(T)
     assert v.irreducibility is not None and v.trail[-1] == "no-criterion-applied"
-    assert 3 in monogenity.square_primes(v.disc, v.sf_bound)
+    assert 3 in monogenity.square_primes(v.disc)
     row = mask_runtime([cli._scan_row((3, 1, -16, 10), {})])
     factor_p = ore.factor_p
 
@@ -918,6 +894,32 @@ def test_one_exponent_loop():
     assert loops == ["polyring._power"]
 
 
+def test_the_squarefree_bound_is_one_constant():
+    # The program reads no environment, and monogenity.SF_BOUND is the one
+    # bound of trial division: no function of monogenity or cli takes one,
+    # and no verdict carries one.
+    package = Path(trinogen.__file__).parent
+    readers, constants, takers = [], [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        readers += [f"{path.stem}: {word}" for word in ("os.environ", "getenv", "TRINOGEN_")
+                    if word in text]
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Constant) and node.value == 10**6
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and getattr(node.left, "value", None) == 10
+                    and getattr(node.right, "value", None) == 6):
+                constants.append(path.stem)
+            if isinstance(node, ast.FunctionDef) and path.stem in ("monogenity", "cli"):
+                takers += [f"{path.stem}.{node.name}" for arg in ast.walk(node.args)
+                           if isinstance(arg, ast.arg) and arg.arg == "bound"]
+    assert readers == []
+    assert constants == ["monogenity"]
+    assert takers == []
+    assert monogenity.SF_BOUND == monogenity._sf_bound() == 10**6
+    assert "sf_bound" not in monogenity.MonogenityVerdict._fields
+
+
 def test_index_table_lives_for_one_scan(capsys, tmp_path, monkeypatch):
     # Most rows of a serial scan read their index column off a class, and a
     # second scan in the same process starts from an empty table.
@@ -938,7 +940,6 @@ def test_pool_workers_keep_one_table_per_scan(capsys, tmp_path, monkeypatch):
     # Each worker's table serves every chunk the worker computes in one
     # scan.  Two tables stand in for two workers that take the box's chunks
     # in turn, in this process: _start_worker would also ignore Ctrl-C here.
-    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
     serial = mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "1"))
     calls = []
     polygon_index = ore.polygon_index
@@ -949,45 +950,13 @@ def test_pool_workers_keep_one_table_per_scan(capsys, tmp_path, monkeypatch):
         patch.setattr(ore, "polygon_index", lambda F, p: calls.append(p) or polygon_index(F, p))
         for i, chunk in enumerate(iter(lambda: list(islice(items, cli.SCAN_CHUNK)), [])):
             patch.setattr(cli, "_WORKER_CLASSES", tables[i % 2])
-            text = cli._scan_chunk(chunk, "jsonl", monogenity.DEFAULT_SF_BOUND)
+            text = cli._scan_chunk(chunk, "jsonl")
             rows += [json.loads(line) for line in text.splitlines()]
     assert mask_runtime(rows) == serial
     assert all(tables) and 0 < len(calls) <= 200
     # The parent of a pool makes no table.
     assert mask_runtime(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", "2")) == serial
     assert cli._WORKER_CLASSES is None
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_scan_reads_the_bound_once(capsys, tmp_path, monkeypatch, jobs):
-    parent, reads = os.getpid(), []
-    sf_bound = monogenity._sf_bound
-
-    def counting_sf_bound():
-        # Pool workers are forked from this process, and a read there fails
-        # its chunk, which fails the scan.
-        assert os.getpid() == parent, "a pool worker read the squarefree bound"
-        reads.append(parent)
-        return sf_bound()
-
-    monkeypatch.setattr(monogenity, "_sf_bound", counting_sf_bound)
-    assert len(scan_rows(capsys, tmp_path, *ROADMAP_BOX, "--jobs", jobs)) == 2178
-    assert reads == [parent]
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("to_file", [False, True])
-def test_bad_bound_fails_before_any_output(capsys, tmp_path, monkeypatch, recording_pools,
-                                           jobs, to_file):
-    out = tmp_path / "rows.csv"
-    out.write_text("kept\n", encoding="utf-8")
-    monkeypatch.setenv("TRINOGEN_SF_BOUND", "abc")
-    code, stdout, err = run_cli(capsys, "scan", *ROADMAP_BOX, "--format", "csv",
-                                "--jobs", jobs, "--out", str(out) if to_file else "-")
-    assert (code, stdout) == (EXIT_USAGE, "")
-    assert err == "error: TRINOGEN_SF_BOUND must be an integer, got 'abc'\n"
-    assert out.read_text(encoding="utf-8") == "kept\n"
-    assert recording_pools == []
 
 
 def test_main_empties_every_memo(capsys):
@@ -1051,7 +1020,6 @@ SIEVE_BATCH = [
 
 
 def test_sieve_built_once_per_process(capsys, monkeypatch):
-    monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
     built, powers = Counter(), Counter()
     sieve, perfect_power = exactnum.primes_below.__wrapped__, monogenity.perfect_power
 
@@ -1072,7 +1040,7 @@ def test_sieve_built_once_per_process(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "analyze", "--n", str(n), "--a", str(a), "--b", str(b))
         assert code in (EXIT_OK, EXIT_UNCERTIFIED)
     assert len(powers) >= 5, powers
-    assert built[monogenity.DEFAULT_SF_BOUND] == 1, built
+    assert built[monogenity.SF_BOUND] == 1, built
 
 
 # -- verify ----------------------------------------------------------------------
@@ -1230,6 +1198,41 @@ class TestConsoleScript:
             os.close(write_end)
         assert proc.returncode != EXIT_OK
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify",),
+        ("analyze", "--n", "8", "--a", "8", "--b", "8"),
+        ("scan", "--r-range", "3:3", "--a-range", "8:8", "--b-range", "8:9", "--out", "-"),
+        ("scan", "--r-range", "3:3", "--a-range", "8:8", "--b-range", "8:9", "--out", "-",
+         "--jobs", "2"),
+    ])
+    def test_stdout_closed_at_start_is_one_line(self, argv):
+        # With file descriptor 1 closed, Python starts with sys.stdout None.
+        cmd, env = module_command(*argv)
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == EXIT_VERIFY_FAILED
+        assert proc.stderr == "error: stdout is closed\n"
+        # With stderr closed as well, the exit status alone tells.
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&- 2>&-', "sh", *cmd], env=env,
+                              timeout=120)
+        assert proc.returncode == EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_to_a_file_needs_no_stdout(self, tmp_path, jobs):
+        out = tmp_path / "rows.csv"
+        cmd, env = module_command("scan", "--r-range", "3:3", "--a-range", "8:8",
+                                  "--b-range", "8:9", "--format", "csv", "--jobs", jobs,
+                                  "--out", str(out))
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert [row.rsplit(",", 1)[0] for row in rows] == [
+            ",".join(SCAN_COLUMNS[:-1]),
+            "3,1,8,8,PolyNotMonogenicFieldMonogenic,2,,7",
+            "3,1,8,9,skipped,,,0",
+        ]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists child processes by /proc")
     def test_sigterm_stops_scan_workers(self, tmp_path):

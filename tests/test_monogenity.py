@@ -23,7 +23,6 @@ from trinogen.monogenity import (
     SquarefreeStatus,
     Trinomial,
     VerdictKind,
-    analyze_trinomial,
     check_alpha_generator,
     check_alpha_generator_pow2,
     check_congruence_obstruction,
@@ -155,37 +154,40 @@ class TestSquarefreeStatus:
             squarefree_status(0)
 
     def test_bound_controls_certainty(self):
-        # 221 = 13 * 17: fully factored by default, opaque below the bound.
+        # 221 = 13 * 17 is fully factored below the bound; a product of the
+        # two primes just above 10**6 is left whole, so nothing is proved.
         assert squarefree_status(221) is SquarefreeStatus.SQUARE_FREE
-        assert squarefree_status(221, bound=10) is SquarefreeStatus.UNKNOWN
+        assert squarefree_status(1000003 * 1000033) is SquarefreeStatus.UNKNOWN
 
     def test_perfect_power_cofactor_detected_past_bound(self):
-        assert squarefree_status(169, bound=10) is SquarefreeStatus.NOT_SQUARE_FREE
-        big = (10**7 + 19) ** 2  # prime square beyond the default trial range
-        assert squarefree_status(big) is SquarefreeStatus.NOT_SQUARE_FREE
+        # Squares of the first prime past the bound and of one ten times as large.
+        for p in (1000003, 10**7 + 19):
+            assert squarefree_status(p * p) is SquarefreeStatus.NOT_SQUARE_FREE
 
     def test_certified_prime_cofactor_past_bound(self):
-        # 1273609 is prime and small enough for the deterministic test.
-        assert squarefree_status(1273609, bound=100) is SquarefreeStatus.SQUARE_FREE
+        # 10^12 + 39 is prime, above the bound's square, and small enough for
+        # the deterministic test.
+        assert squarefree_status(10**12 + 39) is SquarefreeStatus.SQUARE_FREE
+        assert squarefree_status(6 * (10**12 + 39)) is SquarefreeStatus.SQUARE_FREE
 
     def test_certified_prime_cofactor_needs_no_perfect_power(self, monkeypatch):
         def no_perfect_power(t):
             raise AssertionError(f"perfect_power({t}) called on a certified prime")
 
         monkeypatch.setattr(monogenity, "perfect_power", no_perfect_power)
-        assert squarefree_status(1273609, bound=100) is SquarefreeStatus.SQUARE_FREE
+        assert squarefree_status(10**12 + 39) is SquarefreeStatus.SQUARE_FREE
 
     @pytest.mark.parametrize(
         "t,expected",
         [
-            (1273609, SquarefreeStatus.SQUARE_FREE),  # a certified prime
+            (1273609, SquarefreeStatus.SQUARE_FREE),  # a prime between the bound and its square
             (1273609**2, SquarefreeStatus.NOT_SQUARE_FREE),  # its square
-            (1009 * 1013, SquarefreeStatus.UNKNOWN),  # two primes above the bound
+            (1000003 * 1000033, SquarefreeStatus.UNKNOWN),  # two primes above the bound
             (2**89 - 1, SquarefreeStatus.UNKNOWN),  # prime above MR_CERTIFIED_BOUND
         ],
     )
     def test_cofactor_statuses(self, t, expected):
-        assert squarefree_status(t, bound=100) is expected
+        assert squarefree_status(t) is expected
 
     def test_uncertifiable_prime_is_unknown(self):
         # 2^89 - 1 is prime but beyond the deterministic-certificate range,
@@ -198,18 +200,6 @@ class TestSquarefreeStatus:
             s = rng.choice(primes)
             u = rng.randrange(1, 10**4)
             assert squarefree_status(s * s * u) is SquarefreeStatus.NOT_SQUARE_FREE
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TRINOGEN_SF_BOUND", "10")
-        assert squarefree_status(221) is SquarefreeStatus.UNKNOWN
-        monkeypatch.setenv("TRINOGEN_SF_BOUND", "1000")
-        assert squarefree_status(221) is SquarefreeStatus.SQUARE_FREE
-
-    @pytest.mark.parametrize("raw", ["abc", "1", "-5", "10000001"])
-    def test_env_override_validated(self, monkeypatch, raw):
-        monkeypatch.setenv("TRINOGEN_SF_BOUND", raw)
-        with pytest.raises(ValueError):
-            squarefree_status(221)
 
 
 # -- irreducibility certificates ------------------------------------------------------
@@ -299,7 +289,7 @@ class TestCheckAlphaGenerator:
         assert cert is not None
         assert (cert.p, cert.k, cert.x, cert.y) == (2, 3, 3, 1)
         assert cert.polygon_index == 7
-        assert cert.eisenstein_ok
+        assert monogenity._is_eisenstein(cert.H, cert.p)
         assert cert.deltap_status is SquarefreeStatus.SQUARE_FREE
         assert cert.H == ALPHA_H_8_1_8_8
 
@@ -889,8 +879,7 @@ class TestVerdictPipeline:
         for p, fact in v.splittings.items():
             assert valp(p, v.disc) >= 2 * fact.index_lower_bound
 
-    def test_alias_and_determinism(self):
-        assert analyze_trinomial is verdict
+    def test_determinism(self):
         T = Trinomial(8, 1, 12, 3)
         v1, v2 = verdict(T), verdict(T)
         assert v1.kind is v2.kind and v1.trail == v2.trail
@@ -917,35 +906,7 @@ class TestVerdictPipeline:
 # -- the verdict record ----------------------------------------------------------------
 
 
-# One trinomial for each way a verdict ends: alpha generator, common index
-# divisor, conditional alpha, zero discriminant, uncertified, assumed with
-# index bounds, assumption contradicted, and no criterion.
-VERDICT_ENDINGS = [
-    (Trinomial(8, 1, 8, 8), False),
-    (Trinomial(8, 1, 12, 3), False),
-    (Trinomial(16, 1, 8, 56), False),
-    (Trinomial(2, 1, 2, 1), False),
-    (Trinomial(2, 1, 1, -1), False),
-    (Trinomial(4, 1, 4, 4), True),
-    (Trinomial(8, 1, 4, -5), True),
-    (Trinomial(8, 1, -16, 10), False),
-]
-
-
 class TestVerdictRecord:
-    def test_passed_bound_reads_no_environment(self, monkeypatch):
-        monkeypatch.delenv("TRINOGEN_SF_BOUND", raising=False)
-        expected = [verdict(T, assumed) for T, assumed in VERDICT_ENDINGS]
-
-        def forbidden():
-            raise AssertionError("the verdict read TRINOGEN_SF_BOUND")
-
-        monkeypatch.setattr(monogenity, "_sf_bound", forbidden)
-        got = [verdict(T, assumed, bound=monogenity.DEFAULT_SF_BOUND)
-               for T, assumed in VERDICT_ENDINGS]
-        assert got == expected
-        assert verdict(Trinomial(8, 1, 12, 3), bound=10).sf_bound == 10
-
     def test_fields_cannot_be_assigned(self):
         v = verdict(Trinomial(8, 1, 12, 3))
         for name in MonogenityVerdict._fields:
