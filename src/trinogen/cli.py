@@ -34,15 +34,9 @@ from itertools import islice
 from operator import attrgetter
 
 from . import __version__, exactnum, ffactor, monogenity, newton, ore
-from .exactnum import factored, is_probable_prime, strip_factored, strip_p
+from .exactnum import factored, is_probable_prime, strip_factored, strip_p, valp
 from .exactnum import trial_factor  # noqa: F401 - bench/test_bench.py reaches it here
-from .monogenity import (
-    Trinomial,
-    check_congruence_obstruction,
-    disc_trinomial,
-    squarefree_status,
-    verdict,
-)
+from .monogenity import Trinomial, disc_trinomial, squarefree_status, verdict
 from .newton import MalformedInput
 from .polyring import PolyZ
 
@@ -168,7 +162,7 @@ def _splitting_dict(fact: ore.OreFactorization) -> dict:
     }
 
 
-def _alpha_dict(cert: monogenity.AlphaCert) -> dict:
+def _alpha_dict(cert: monogenity.AlphaCert, n: int) -> dict:
     return {
         "p": str(cert.p),
         "k": str(cert.k),
@@ -180,7 +174,9 @@ def _alpha_dict(cert: monogenity.AlphaCert) -> dict:
         # No certificate is built unless H is p-Eisenstein.
         "eisenstein_ok": True,
         "stripped_disc_status": cert.deltap_status.value,
-        "polygon_index": str(cert.polygon_index),
+        # The certificate is built only where the one-sided polygon's index
+        # is this closed form.
+        "polygon_index": str((n - 1) * (cert.k - 1) // 2),
     }
 
 
@@ -196,7 +192,7 @@ def _verdict_dict(v: monogenity.MonogenityVerdict, bounds: list[dict]) -> dict:
         "irreducibility_assumed": v.irreducibility_assumed,
     }
     if v.alpha is not None:
-        out["alpha"] = _alpha_dict(v.alpha)
+        out["alpha"] = _alpha_dict(v.alpha, v.trinomial.n)
     if v.congruence is not None:
         out["congruence"] = {
             "case": v.congruence.case.value,
@@ -232,8 +228,6 @@ def build_report(
         primes = set(square)
         if v.p is not None:
             primes.add(v.p)
-        if v.alpha is not None:
-            primes.add(v.alpha.p)
         primes = sorted(primes)
 
     disc_primes = []
@@ -426,34 +420,24 @@ def _pow2_over_cap(r: int) -> bool:
 def cmd_analyze(args) -> int:
     if args.r is not None:
         if args.r < 1:
-            print("error: --r must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--r must be >= 1")
         if _pow2_over_cap(args.r):
-            print(f"error: --r {args.r} gives a degree above the cap {MAX_DEGREE}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--r {args.r} gives a degree above the cap {MAX_DEGREE}")
         n = 2**args.r
     else:
         n = args.n
         if n > MAX_DEGREE:
-            print(f"error: --n {n} is above the degree cap {MAX_DEGREE}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        T = Trinomial(n=n, m=args.m, a=args.a, b=args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise ValueError(f"--n {n} is above the degree cap {MAX_DEGREE}")
+    T = Trinomial(n=n, m=args.m, a=args.a, b=args.b)
     if args.p is not None and not is_probable_prime(args.p):
-        print(f"error: --p {args.p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--p {args.p} is not prime")
     # The report prints the discriminant in decimal, so one with more digits
     # than Python converts to a string is refused before the verdict's work.
     disc = disc_trinomial(T)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and abs(disc) >= 10**limit:
-        print(f"error: the discriminant of {T} has {abs(disc).bit_length()} bits, more "
-              f"than the {limit} decimal digits a report can print", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the discriminant of {T} has {abs(disc).bit_length()} bits, more "
+                         f"than the {limit} decimal digits a report can print")
     v = verdict(T, assume_irreducible=args.assume_irreducible, disc=disc)
     report = build_report(T, v, only_p=args.p)
     if args.json:
@@ -609,36 +593,26 @@ def _add_scan_args(sp: argparse.ArgumentParser) -> None:
 
 
 def cmd_scan(args) -> int:
-    try:
-        r_range = _parse_range(args.r_range, "r-range")
-        a_range = _parse_range(args.a_range, "a-range")
-        b_range = _parse_range(args.b_range, "b-range")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    r_range = _parse_range(args.r_range, "r-range")
+    a_range = _parse_range(args.a_range, "a-range")
+    b_range = _parse_range(args.b_range, "b-range")
     r0 = r_range.start
     if r0 < 1:
-        print("error: --r-range must start at 1 or above", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--r-range must start at 1 or above")
     # Checked here, because a row applies no cap: it analyzes any degree.
     if _pow2_over_cap(r_range[-1]):
-        print(f"error: --r-range reaches r={r_range[-1]}, a degree above the cap "
-              f"{MAX_DEGREE}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--r-range reaches r={r_range[-1]}, a degree above the cap "
+                         f"{MAX_DEGREE}")
     if not 1 <= args.jobs <= MAX_JOBS:
-        print(f"error: --jobs must be between 1 and {MAX_JOBS}, got {args.jobs}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     # 1 <= m < 2^r holds for every r in the range once it holds for the least.
     if not 1 <= args.m < 2**r0:
-        print(f"error: m={args.m} is out of range for r={r0}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"m={args.m} is out of range for r={r0}")
     items = ((r, args.m, a, b) for r in r_range for a in a_range for b in b_range)
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot open {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot open {args.out}: {exc}") from exc
     pool = None
     try:
         if args.format == "csv":
@@ -668,24 +642,25 @@ def cmd_scan(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-# The paper's worked examples and two engine-level fixtures, one row per check:
-# (fixture, check, expected, how to compute it).  `verify` prints the rows in
-# this order and tests/test_acceptance.py runs the same rows.
-
-_ALPHA8 = Trinomial(8, 1, 8, 8)  # non-monogenic polynomial in a monogenic field
-_CID8 = Trinomial(8, 1, 12, 3)  # no generator at all: 2 is a common index divisor
-_ALPHA16 = Trinomial(16, 15, 24, 8)  # alpha = theta^11 / 4
-_PURE64 = Trinomial(64, 1, 0, -65)  # pure field, not monogenic
-_FOUR_SIDES = PolyZ([7, 8] + [0] * 14 + [1])  # reducible over Q: shape data only
-_DEDEKIND = PolyZ([8, -2, 1, 1])  # Dedekind's cubic: 2 splits completely
-
-
-def _pow2_16():
-    return monogenity.check_alpha_generator_pow2(4, 15, 24, 8)
-
-
-def _at_2(F: PolyZ) -> ore.OreFactorization:
-    return ore.factor_p(F, 2)
+# The paper's worked examples and two engine-level fixtures, each built once:
+# a trinomial's record is its verdict, a bare polynomial's is its splitting
+# at 2.  Each row of KNOWN_ANSWERS, (fixture, check, expected, read), reads
+# its value off the fixture's record.  `verify` prints the rows in this order
+# and tests/test_acceptance.py runs the same rows.
+FIXTURES = {
+    # non-monogenic polynomial in a monogenic field
+    "x^8+8x+8": lambda: verdict(Trinomial(8, 1, 8, 8)),
+    # no generator at all: 2 is a common index divisor
+    "x^8+12x+3": lambda: verdict(Trinomial(8, 1, 12, 3)),
+    # alpha = theta^11 / 4
+    "x^16+24x^15+8": lambda: verdict(Trinomial(16, 15, 24, 8)),
+    # pure field, not monogenic
+    "x^64-65": lambda: verdict(Trinomial(64, 1, 0, -65)),
+    # reducible over Q: shape data only
+    "x^16+8x+7": lambda: ore.factor_p(PolyZ([7, 8] + [0] * 14 + [1]), 2),
+    # Dedekind's cubic: 2 splits completely
+    "x^3+x^2-2x+8": lambda: ore.factor_p(PolyZ([8, -2, 1, 1]), 2),
+}
 
 
 def _shapes(fact: ore.OreFactorization) -> list[tuple[int, int]]:
@@ -700,80 +675,68 @@ def _degree_one(fact: ore.OreFactorization) -> int:
     return sum(1 for f in fact.factors if f.f == 1)
 
 
+def _pow2_criterion(v: monogenity.MonogenityVerdict) -> bool:
+    """The paper's hypotheses for n = 2^r, read off an alpha certificate:
+    k = nu_p(b) >= 3 is odd and nu_p(a) >= k."""
+    T, cert = v.trinomial, v.alpha
+    return T.r is not None and cert.k >= 3 and cert.k % 2 == 1 and valp(cert.p, T.a) >= cert.k
+
+
 # fmt: off
 KNOWN_ANSWERS = (
-    ("x^8+8x+8", "discriminant", 2**24 * 1273609,
-     lambda: disc_trinomial(_ALPHA8)),
-    ("x^8+8x+8", "disc digest", "2^24 * 1273609",
-     lambda: _digest(disc_trinomial(_ALPHA8))),
-    ("x^8+8x+8", "verdict", "PolyNotMonogenicFieldMonogenic",
-     lambda: verdict(_ALPHA8).kind.value),
-    ("x^8+8x+8", "alpha (p, x, y)", (2, 3, 1),
-     lambda: attrgetter("p", "x", "y")(verdict(_ALPHA8).alpha)),
+    ("x^8+8x+8", "discriminant", 2**24 * 1273609, attrgetter("disc")),
+    ("x^8+8x+8", "disc digest", "2^24 * 1273609", lambda v: _digest(v.disc)),
+    ("x^8+8x+8", "verdict", "PolyNotMonogenicFieldMonogenic", attrgetter("kind.value")),
+    ("x^8+8x+8", "alpha (p, x, y)", (2, 3, 1), attrgetter("alpha.p", "alpha.x", "alpha.y")),
     ("x^8+8x+8", "alpha min poly 2-Eisenstein", True,
-     lambda: monogenity._is_eisenstein(verdict(_ALPHA8).alpha.H, 2)),
+     lambda v: monogenity._is_eisenstein(v.alpha.H, 2)),
     ("x^8+8x+8", "min poly of theta^3/2", (2, 4, 0, -6, 0, 0, 0, 0, 1),
-     lambda: verdict(_ALPHA8).alpha.H.coeffs),
+     attrgetter("alpha.H.coeffs")),
     ("x^8+8x+8", "index bound at 2", (7, True),
-     lambda: ore.index_bound(_ALPHA8.poly(), 2)),
+     lambda v: ore.index_bound(v.trinomial.poly(), 2)),
     ("x^8+12x+3", "irreducibility", ("eisenstein", 3),
-     lambda: attrgetter("route", "p")(verdict(_CID8).irreducibility)),
-    ("x^8+12x+3", "congruence case", "mod8",
-     lambda: verdict(_CID8).congruence.case.value),
-    ("x^8+12x+3", "regular at 2", True,
-     lambda: verdict(_CID8).splitting.regular),
-    ("x^8+12x+3", "shapes", [(1, 1), (3, 1), (4, 1)],
-     lambda: _shapes(verdict(_CID8).splitting)),
-    ("x^8+12x+3", "sum e*f", 8,
-     lambda: _sum_ef(verdict(_CID8).splitting)),
+     attrgetter("irreducibility.route", "irreducibility.p")),
+    ("x^8+12x+3", "congruence case", "mod8", attrgetter("congruence.case.value")),
+    ("x^8+12x+3", "regular at 2", True, attrgetter("splitting.regular")),
+    ("x^8+12x+3", "shapes", [(1, 1), (3, 1), (4, 1)], lambda v: _shapes(v.splitting)),
+    ("x^8+12x+3", "sum e*f", 8, lambda v: _sum_ef(v.splitting)),
     ("x^8+12x+3", "degree-1 primes vs available", (3, 2),
-     lambda: attrgetter("cid_count", "cid_available")(verdict(_CID8))),
-    ("x^8+12x+3", "verdict", ("FieldNotMonogenic", 2),
-     lambda: attrgetter("kind.value", "p")(verdict(_CID8))),
-    ("x^16+24x^15+8", "nu_2(disc)", 90,
-     lambda: strip_p(2, disc_trinomial(_ALPHA16)).nu),
+     attrgetter("cid_count", "cid_available")),
+    ("x^8+12x+3", "verdict", ("FieldNotMonogenic", 2), attrgetter("kind.value", "p")),
+    ("x^16+24x^15+8", "nu_2(disc)", 90, lambda v: strip_p(2, v.disc).nu),
     ("x^16+24x^15+8", "odd part of disc", 2**19 - 3**31 * 5**15,
-     lambda: strip_p(2, disc_trinomial(_ALPHA16)).unit_part),
-    ("x^16+24x^15+8", "power-of-two criterion applies", True,
-     lambda: _pow2_16()[0]),
+     lambda v: strip_p(2, v.disc).unit_part),
+    ("x^16+24x^15+8", "power-of-two criterion applies", True, _pow2_criterion),
     ("x^16+24x^15+8", "alpha (p, x, y)", (2, 11, 2),
-     lambda: attrgetter("p", "x", "y")(_pow2_16()[1])),
+     attrgetter("alpha.p", "alpha.x", "alpha.y")),
     ("x^16+24x^15+8", "alpha min poly 2-Eisenstein", True,
-     lambda: monogenity._is_eisenstein(_pow2_16()[1].H, 2)),
-    ("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic",
-     lambda: verdict(_ALPHA16).kind.value),
-    ("x^64-65", "pure-field screen", "mod32",
-     lambda: check_congruence_obstruction(6, 0, -65).case.value),
-    ("x^64-65", "regular at 2", True,
-     lambda: verdict(_PURE64).splitting.regular),
-    ("x^64-65", "at least 3 degree-1 primes", True,
-     lambda: _degree_one(verdict(_PURE64).splitting) >= 3),
+     lambda v: monogenity._is_eisenstein(v.alpha.H, 2)),
+    ("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic", attrgetter("kind.value")),
+    ("x^64-65", "pure-field screen", "mod32", attrgetter("congruence.case.value")),
+    ("x^64-65", "regular at 2", True, attrgetter("splitting.regular")),
+    ("x^64-65", "at least 3 degree-1 primes", True, lambda v: _degree_one(v.splitting) >= 3),
     ("x^64-65", "exponents include 8, 16, 32", True,
-     lambda: {8, 16, 32} <= {f.e for f in verdict(_PURE64).splitting.factors}),
-    ("x^64-65", "verdict", ("FieldNotMonogenic", 2),
-     lambda: attrgetter("kind.value", "p")(verdict(_PURE64))),
+     lambda v: {8, 16, 32} <= {f.e for f in v.splitting.factors}),
+    ("x^64-65", "verdict", ("FieldNotMonogenic", 2), attrgetter("kind.value", "p")),
     ("x^16+8x+7", "polygon vertices", ((0, 4), (1, 3), (4, 2), (8, 1), (16, 0)),
-     lambda: _at_2(_FOUR_SIDES).evidence[0].polygon.vertices),
+     lambda f: f.evidence[0].polygon.vertices),
     ("x^16+8x+7", "four degree-1 sides", [1, 1, 1, 1],
-     lambda: [s.d for s in _at_2(_FOUR_SIDES).evidence[0].polygon.sides]),
-    ("x^16+8x+7", "sum e*f", 16,
-     lambda: _sum_ef(_at_2(_FOUR_SIDES))),
-    ("x^16+8x+7", "four degree-1 primes", 4,
-     lambda: _degree_one(_at_2(_FOUR_SIDES))),
-    ("x^16+8x+7", "common index divisor witness", (True, 1),
-     lambda: monogenity.common_index_divisor(_at_2(_FOUR_SIDES))),
-    ("x^3+x^2-2x+8", "2 splits completely", [(1, 1), (1, 1), (1, 1)],
-     lambda: _shapes(_at_2(_DEDEKIND))),
+     lambda f: [s.d for s in f.evidence[0].polygon.sides]),
+    ("x^16+8x+7", "sum e*f", 16, _sum_ef),
+    ("x^16+8x+7", "four degree-1 primes", 4, _degree_one),
+    ("x^16+8x+7", "common index divisor witness", (True, 1), monogenity.common_index_divisor),
+    ("x^3+x^2-2x+8", "2 splits completely", [(1, 1), (1, 1), (1, 1)], _shapes),
     ("x^3+x^2-2x+8", "common index divisor witness", (True, 1),
-     lambda: monogenity.common_index_divisor(_at_2(_DEDEKIND))),
+     monogenity.common_index_divisor),
 )
 # fmt: on
 
 
 def cmd_verify(_args) -> int:
+    records = {fixture: build() for fixture, build in FIXTURES.items()}
     passed = 0
-    for fixture, check, expected, compute in KNOWN_ANSWERS:
-        got = compute()
+    for fixture, check, expected, read in KNOWN_ANSWERS:
+        got = read(records[fixture])
         line = f"{fixture} | {check} | expected {expected!r}"
         if got == expected:
             passed += 1
@@ -837,6 +800,14 @@ def _glue_range_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _error(text: str) -> None:
+    """Print ``error: text`` to stderr.  With file descriptor 2 closed,
+    Python sets ``sys.stderr`` to None, and print() would write the line to
+    stdout instead, among the output; then nothing is printed."""
+    if sys.stderr is not None:
+        print(f"error: {text}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -854,7 +825,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # Validation errors raised below the argument parser are user input
         # errors, not crashes.
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
 
 
@@ -888,8 +859,9 @@ def entry() -> None:
     number: 130 and 143.  An ``InternalContradiction`` is a bug, not an
     answer: it prints one line to stderr and exits with EXIT_INTERNAL.
     ``main`` itself lets it propagate.  A command that writes to a stdout
-    closed from the start prints one line to stderr, if stderr is open, and
-    exits with status 1.
+    closed from the start prints one line to stderr and exits with status 1.
+    Every ``error:`` line goes through ``_error``, so a closed stderr drops
+    it rather than sending it to stdout.
     """
     signal.signal(signal.SIGTERM, _interrupt)
     if sys.stdout is None:
@@ -901,12 +873,10 @@ def entry() -> None:
         signum = exc.args[0] if exc.args else signal.SIGINT
         sys.exit(128 + signum)
     except monogenity.InternalContradiction as exc:
-        print(f"error: internal contradiction: {exc}", file=sys.stderr)
+        _error(f"internal contradiction: {exc}")
         sys.exit(EXIT_INTERNAL)
     except _StdoutClosed:
-        # print() with file=None would write to sys.stdout, which raises.
-        if sys.stderr is not None:
-            print("error: stdout is closed", file=sys.stderr)
+        _error("stdout is closed")
         sys.exit(EXIT_VERIFY_FAILED)
     except BrokenPipeError:
         # Python flushes stdout again at exit; point it at devnull so that

@@ -269,15 +269,14 @@ class AlphaCert:
     y: int
     H: PolyZ
     deltap_status: SquarefreeStatus
-    polygon_index: int
 
 
 def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     n = T.n
     F = T.poly()
 
-    # The one-sided polygon's lattice index must be (n-1)(k-1)/2; verified,
-    # not assumed.
+    # The one-sided polygon's lattice index must be (n-1)(k-1)/2 >= 1;
+    # verified, not assumed.
     polygon = _one_sided_polygon(F, p)
     expected = (n - 1) * (k - 1) // 2
     if newton.phi_index(polygon, 1) != expected or expected < 1:
@@ -300,15 +299,7 @@ def _build_alpha_cert(T: Trinomial, p: int, k: int, disc: int) -> AlphaCert:
     if not _is_eisenstein(H, p):
         raise InternalContradiction("alpha minimal polynomial is not p-Eisenstein")
     status = squarefree_status(strip_factored(p, disc, SF_BOUND).unit_part)
-    return AlphaCert(
-        p=p,
-        k=k,
-        x=x,
-        y=y,
-        H=H,
-        deltap_status=status,
-        polygon_index=expected,
-    )
+    return AlphaCert(p=p, k=k, x=x, y=y, H=H, deltap_status=status)
 
 
 def check_alpha_generator(
@@ -321,8 +312,9 @@ def check_alpha_generator(
     The primes tried are those of the one-sided gate (``_one_sided_primes``)
     with k = nu_p(b) >= 2, in increasing order; at k = 1, F itself is
     p-Eisenstein.  The first whose stripped discriminant is certified
-    squarefree wins; failing that, the first with an Unknown status; a
-    NotSquareFree status is reported only when no better prime exists.
+    squarefree wins; failing that, the first with an Unknown status.  A
+    prime whose stripped discriminant has a square factor certifies nothing,
+    so where every prime is such, the answer is None.
     ``verdict`` passes in the gate and the discriminant it already holds;
     whatever is omitted is computed here.
     """
@@ -335,43 +327,14 @@ def check_alpha_generator(
         disc = disc_trinomial(T)
     if disc == 0:
         return None
-    fallback: AlphaCert | None = None
+    unknown: AlphaCert | None = None
     for p, k in gate:
         cert = _build_alpha_cert(T, p, k, disc)
         if cert.deltap_status is SquarefreeStatus.SQUARE_FREE:
             return cert
-        if fallback is None or (
-            fallback.deltap_status is SquarefreeStatus.NOT_SQUARE_FREE
-            and cert.deltap_status is SquarefreeStatus.UNKNOWN
-        ):
-            fallback = cert
-    return fallback
-
-
-def check_alpha_generator_pow2(
-    r: int, m: int, a: int, b: int
-) -> tuple[bool, AlphaCert | None]:
-    """Degree-2**r specialization of the alpha-generator criterion.
-
-    Applicable when some prime p has nu_p(a) >= nu_p(b) >= 3 with nu_p(b)
-    odd and the stripped discriminant not proved to have a square factor
-    (status SquareFree or Unknown).  Those hypotheses put p in the one-sided
-    gate (gcd(2**r, odd) = 1 and 2**r * nu_p(a) >= 2**r * nu_p(b) >
-    (2**r - m) * nu_p(b)), so the primes tried are the gate's primes that
-    meet them, and the certificate is built at p.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    T = Trinomial(n=2**r, m=m, a=a, b=b)
-    disc = disc_trinomial(T)
-    # The gate's gcd(2**r, k) = 1 already makes k odd.
-    for p, k in _one_sided_primes(T):
-        if k < 3 or (a != 0 and valp(p, a) < k):
-            continue
-        cert = _build_alpha_cert(T, p, k, disc)
-        if cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
-            return True, cert
-    return False, None
+        if unknown is None and cert.deltap_status is SquarefreeStatus.UNKNOWN:
+            unknown = cert
+    return unknown
 
 
 # -- congruence obstructions for n = 2**r, m = 1 ----------------------------------
@@ -603,7 +566,7 @@ def verdict(
         )
     else:
         alpha = check_alpha_generator(T, gate, disc)
-        if alpha is not None and alpha.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE:
+        if alpha is not None:
             trail.append(f"alpha-generator(p={alpha.p}, x={alpha.x}, y={alpha.y})")
             if alpha.deltap_status is SquarefreeStatus.SQUARE_FREE:
                 kind = VerdictKind.POLY_NOT_MONOGENIC_FIELD_MONOGENIC

@@ -1,7 +1,8 @@
 """Acceptance suite: the known answers, plus randomized identities.
 
 The known answers are the rows of ``trinogen.cli.KNOWN_ANSWERS``, the table
-that ``trinogen verify`` prints; ``test_known_answer`` runs every row, so a
+that ``trinogen verify`` prints; ``test_known_answer`` runs every row on the
+records of ``trinogen.cli.FIXTURES``, built once for this module, so a
 corrected answer is edited in one place.  The fixture classes keep only the
 checks that have no row in that table.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 import pytest
 
 from trinogen import ffactor
-from trinogen.cli import KNOWN_ANSWERS, build_report
+from trinogen.cli import FIXTURES, KNOWN_ANSWERS, build_report
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.ffactor import factor as fq_factor
 from trinogen.ffactor import is_irreducible as fq_is_irreducible
@@ -33,7 +34,6 @@ from trinogen.monogenity import (
     SquarefreeStatus,
     Trinomial,
     check_alpha_generator,
-    check_alpha_generator_pow2,
     common_index_divisor,
     disc_trinomial,
     irreducibility_certificate,
@@ -46,13 +46,18 @@ from trinogen.polyring import PolyZ, discriminant, get_field, phi_expand
 from conftest import polygon_height, random_cloud, sympy_poly
 
 
+@pytest.fixture(scope="module")
+def records():
+    return {fixture: build() for fixture, build in FIXTURES.items()}
+
+
 @pytest.mark.parametrize(
-    "fixture, check, expected, compute",
+    "fixture, check, expected, read",
     KNOWN_ANSWERS,
     ids=[f"{f}:{c}".replace(" ", "_") for f, c, _, _ in KNOWN_ANSWERS],
 )
-def test_known_answer(fixture, check, expected, compute):
-    assert compute() == expected
+def test_known_answer(records, fixture, check, expected, read):
+    assert read(records[fixture]) == expected
 
 
 # -- checks beyond the table --------------------------------------------------------
@@ -97,8 +102,7 @@ class TestDegree16HighMiddleAlphaGenerator:
         assert odd % 7 == 0 and odd % 43 == 0
 
     def test_alpha_min_poly_is_2_eisenstein(self):
-        _, cert = check_alpha_generator_pow2(4, 15, 24, 8)
-        assert_2_eisenstein(cert.H, 16)
+        assert_2_eisenstein(verdict(self.T).alpha.H, 16)
 
 
 class TestDegree64PureField:

@@ -10,6 +10,7 @@ need no installation; only ``test_installed_entry_point`` needs an installed
 
 import ast
 import concurrent.futures
+import dataclasses
 import functools
 import importlib
 import json
@@ -1057,6 +1058,35 @@ class TestVerify:
         passed, _, count = total.partition("/")
         assert passed == count and int(count) >= 30
 
+    def test_each_fixture_is_built_once(self, capsys, monkeypatch):
+        # Every row reads its fixture's record: one verdict per trinomial.
+        calls = []
+        original = monogenity.verdict
+
+        def counting(T, *args, **kwargs):
+            calls.append(str(T))
+            return original(T, *args, **kwargs)
+
+        monkeypatch.setattr(monogenity, "verdict", counting)
+        monkeypatch.setattr(cli, "verdict", counting)
+        assert run_cli(capsys, "verify")[0] == EXIT_OK
+        assert calls == ["x^8 + 8*x + 8", "x^8 + 12*x + 3", "x^16 + 24*x^15 + 8", "x^64 - 65"]
+        assert set(cli.FIXTURES) == {row[0] for row in cli.KNOWN_ANSWERS}
+
+
+def test_one_alpha_route():
+    # check_alpha_generator is the one search that builds alpha certificates.
+    package = Path(trinogen.__file__).parent
+    builders = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                builders += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                             if isinstance(node, ast.Name) and node.id == "_build_alpha_cert"]
+    assert builders == ["monogenity.check_alpha_generator"]
+    assert not hasattr(monogenity, "check_alpha_generator_pow2")
+    assert "polygon_index" not in {f.name for f in dataclasses.fields(monogenity.AlphaCert)}
+
 
 # -- console script ----------------------------------------------------------------
 
@@ -1164,27 +1194,45 @@ class TestConsoleScript:
         )
         assert proc.returncode == EXIT_UNCERTIFIED
 
+    # No input meets a contradiction, so this child plants one: a rational
+    # factor of x^8 - 16x + 10, which is certified irreducible.
+    PLANTED = "\n".join([
+        "import sys",
+        "from trinogen import cli, ore",
+        "from trinogen.newton import MalformedInput",
+        "def planted(F, p):",
+        "    raise MalformedInput('planted rational factor')",
+        "ore.factor_p = planted",
+        "sys.argv = ['trinogen', 'analyze', '--n', '8', '--a', '-16', '--b', '10']",
+        "cli.entry()",
+    ])
+
     def test_internal_contradiction_is_one_line(self):
-        # No input meets a contradiction, so the child plants one: a rational
-        # factor of x^8 - 16x + 10, which is certified irreducible.
-        child = "\n".join([
-            "import sys",
-            "from trinogen import cli, ore",
-            "from trinogen.newton import MalformedInput",
-            "def planted(F, p):",
-            "    raise MalformedInput('planted rational factor')",
-            "ore.factor_p = planted",
-            "sys.argv = ['trinogen', 'analyze', '--n', '8', '--a', '-16', '--b', '10']",
-            "cli.entry()",
-        ])
         _, env = module_command()
-        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", self.PLANTED], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_INTERNAL
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: internal contradiction: ")
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["-m", "trinogen", "analyze", "--n", "99999", "--a", "1", "--b", "1"], EXIT_USAGE),
+        (["-m", "trinogen", "scan", "--r-range", "0:1", "--a-range", "1:1", "--b-range", "1:1",
+          "--out", "-"], EXIT_USAGE),
+        (["-m", "trinogen", "scan", "--r-range", "3:3", "--a-range", "1:1", "--b-range", "1:1",
+          "--out", "/nonexistent/dir/rows.jsonl"], EXIT_USAGE),
+        (["-c", PLANTED], EXIT_INTERNAL),
+    ])
+    def test_closed_stderr_keeps_error_lines_off_stdout(self, argv, code):
+        # With file descriptor 2 closed, Python starts with sys.stderr None,
+        # and a print() to it would land on stdout.  The interpreter is run
+        # directly, so no launcher holds its own stderr open.
+        _, env = module_command()
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, *argv],
+                              env=env, stdout=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, "")
 
     def test_closed_stdout_exits_quietly(self):
         cmd, env = module_command("analyze", "--n", "8", "--a", "8", "--b", "8", "--json")

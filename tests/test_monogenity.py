@@ -13,7 +13,7 @@ import random
 import pytest
 import sympy
 
-from trinogen import monogenity, ore
+from trinogen import monogenity, newton, ore
 from trinogen.cli import build_report
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.monogenity import (
@@ -24,7 +24,6 @@ from trinogen.monogenity import (
     Trinomial,
     VerdictKind,
     check_alpha_generator,
-    check_alpha_generator_pow2,
     check_congruence_obstruction,
     common_index_divisor,
     disc_trinomial,
@@ -33,7 +32,7 @@ from trinogen.monogenity import (
     verdict,
 )
 from trinogen.ore import factor_p
-from trinogen.polyring import PolyZ, discriminant, power_charpoly
+from trinogen.polyring import PolyZ, discriminant, phi_expand, power_charpoly
 
 from conftest import sympy_poly
 
@@ -282,13 +281,19 @@ def recompute_alpha_min_poly(T: Trinomial, cert: AlphaCert) -> PolyZ:
     return PolyZ(coeffs)
 
 
+def one_sided_index(T: Trinomial, p: int) -> int:
+    """The lattice index of T's phi = x polygon at p, built here."""
+    dev = phi_expand(T.poly(), PolyZ((0, 1)), p)
+    return newton.phi_index(newton.principal_polygon(newton.point_cloud(dev)), 1)
+
+
 class TestCheckAlphaGenerator:
     def test_full_certificate(self):
         T = Trinomial(8, 1, 8, 8)
         cert = check_alpha_generator(T)
         assert cert is not None
         assert (cert.p, cert.k, cert.x, cert.y) == (2, 3, 3, 1)
-        assert cert.polygon_index == 7
+        assert one_sided_index(T, cert.p) == 7
         assert monogenity._is_eisenstein(cert.H, cert.p)
         assert cert.deltap_status is SquarefreeStatus.SQUARE_FREE
         assert cert.H == ALPHA_H_8_1_8_8
@@ -298,7 +303,7 @@ class TestCheckAlphaGenerator:
         cert = check_alpha_generator(T)
         assert cert is not None
         assert (cert.p, cert.k, cert.x, cert.y) == (2, 3, 11, 2)
-        assert cert.polygon_index == 15
+        assert one_sided_index(T, cert.p) == 15
         assert cert.deltap_status is SquarefreeStatus.UNKNOWN
         assert cert.H == ALPHA_H_16_1_8_56
 
@@ -317,9 +322,13 @@ class TestCheckAlphaGenerator:
             assert all(H[i] % p == 0 for i in range(1, H.degree))
 
     def test_polygon_index_closed_form(self):
+        # The report writes the closed form; the polygon built here agrees.
         for T in (Trinomial(8, 1, 8, 8), Trinomial(16, 1, 8, 56), Trinomial(4, 2, 8, 8)):
             cert = check_alpha_generator(T)
-            assert cert.polygon_index == (T.n - 1) * (cert.k - 1) // 2
+            closed_form = (T.n - 1) * (cert.k - 1) // 2
+            assert one_sided_index(T, cert.p) == closed_form
+            alpha = build_report(T, verdict(T))["verdict"]["alpha"]
+            assert alpha["polygon_index"] == str(closed_form)
 
     def test_exponent_identity(self):
         # k*x = 1 + n*y is what makes theta**x / p**y work.
@@ -339,6 +348,15 @@ class TestCheckAlphaGenerator:
 
     def test_zero_discriminant_returns_none(self):
         assert check_alpha_generator(Trinomial(2, 1, 2, 1)) is None
+
+    def test_square_factor_certifies_nothing(self):
+        # x^8 + 27 passes the gate at p = 3 with k = 3, but disc with its
+        # 3-part removed is 2^24, so no certificate is returned.
+        T = Trinomial(8, 1, 0, 27)
+        assert strip_p(3, disc_trinomial(T)).unit_part == 2**24
+        assert check_alpha_generator(T) is None
+        v = verdict(T)
+        assert v.kind is VerdictKind.INCONCLUSIVE and v.alpha is None
 
 
 def alpha_index(T: Trinomial) -> tuple[int, int]:
@@ -388,39 +406,56 @@ class TestAlphaIndexRule:
 
 
 class TestCheckAlphaGeneratorPow2:
+    """The paper's power-of-two criterion, checked against
+    ``check_alpha_generator`` and ``verdict``: for n = 2**r and a prime p with
+    nu_p(a) >= nu_p(b) = k >= 3 and k odd, where disc with its p-part removed
+    has no proved square factor, alpha = theta**x / p**y generates Z_K.
+    ``TestPerPrimeGates.expected_pow2`` states those hypotheses."""
+
+    ALPHA_KINDS = (
+        VerdictKind.POLY_NOT_MONOGENIC_FIELD_MONOGENIC,
+        VerdictKind.POLY_NOT_MONOGENIC_FIELD_CONDITIONAL,
+    )
+
+    def certified(self, T):
+        """The certificate the criterion predicts, which the verdict carries."""
+        ok, fields = TestPerPrimeGates.expected_pow2(T)
+        cert = check_alpha_generator(T)
+        assert ok and TestPerPrimeGates.fields(cert) == fields
+        v = verdict(T)
+        assert v.kind in self.ALPHA_KINDS and v.alpha == cert
+        return cert
+
+    def rejected(self, T):
+        assert TestPerPrimeGates.expected_pow2(T) == (False, None)
+        assert check_alpha_generator(T) is None
+        assert verdict(T).kind not in self.ALPHA_KINDS
+
     def test_applies(self):
-        ok, cert = check_alpha_generator_pow2(3, 1, 8, 8)
-        assert ok and cert is not None
+        cert = self.certified(Trinomial(8, 1, 8, 8))
         assert (cert.p, cert.x, cert.y) == (2, 3, 1)
 
     def test_applies_high_m(self):
-        ok, cert = check_alpha_generator_pow2(4, 15, 24, 8)
-        assert ok and cert is not None
+        cert = self.certified(Trinomial(16, 15, 24, 8))
         assert (cert.x, cert.y) == (11, 2)
 
     def test_applies_zero_a(self):
-        ok, cert = check_alpha_generator_pow2(3, 1, 0, 8)
-        assert ok and cert is not None
+        cert = self.certified(Trinomial(8, 1, 0, 8))
         assert cert.p == 2 and cert.k == 3
 
     def test_rejects_shallow_a(self):
         # nu_2(a) = 2 < nu_2(b) = 3
-        assert check_alpha_generator_pow2(3, 1, 4, 8) == (False, None)
+        self.rejected(Trinomial(8, 1, 4, 8))
 
     def test_rejects_even_or_small_k(self):
-        assert check_alpha_generator_pow2(3, 1, 16, 16) == (False, None)  # k = 4 even
-        assert check_alpha_generator_pow2(3, 1, 4, 4) == (False, None)  # k = 2
-        assert check_alpha_generator_pow2(3, 1, 2, 2) == (False, None)  # k = 1
-
-    def test_rejects_bad_r(self):
-        with pytest.raises(ValueError):
-            check_alpha_generator_pow2(0, 1, 8, 8)
+        self.rejected(Trinomial(8, 1, 16, 16))  # k = 4 even
+        self.rejected(Trinomial(8, 1, 4, 4))  # k = 2
+        self.rejected(Trinomial(8, 1, 2, 2))  # k = 1
 
     def test_success_invariants(self):
-        ok, cert = check_alpha_generator_pow2(4, 1, 32, 32)
-        if ok:
-            assert cert.k >= 3 and cert.k % 2 == 1
-            assert cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE
+        cert = self.certified(Trinomial(16, 1, 32, 32))
+        assert cert.k >= 3 and cert.k % 2 == 1
+        assert cert.deltap_status is not SquarefreeStatus.NOT_SQUARE_FREE
 
 
 class TestPerPrimeGates:
@@ -494,11 +529,7 @@ class TestPerPrimeGates:
         if disc_trinomial(T) == 0:
             return None
         found = [cls.alpha_fields(T, p) for p in cls.alpha_primes(T)]
-        for status in (
-            SquarefreeStatus.SQUARE_FREE,
-            SquarefreeStatus.UNKNOWN,
-            SquarefreeStatus.NOT_SQUARE_FREE,
-        ):
+        for status in (SquarefreeStatus.SQUARE_FREE, SquarefreeStatus.UNKNOWN):
             for fields in found:
                 if fields[-1] is status:
                     return fields
@@ -506,6 +537,8 @@ class TestPerPrimeGates:
 
     @classmethod
     def expected_pow2(cls, T):
+        if T.r is None:
+            return False, None
         for p in cls.primes(T):
             k = valp(p, T.b)
             if k < 3 or k % 2 == 0 or (T.a != 0 and valp(p, T.a) < k):
@@ -532,10 +565,19 @@ class TestPerPrimeGates:
             alpha = self.fields(check_alpha_generator(T))
             assert alpha == self.expected_alpha(T), T
             seen["two alpha primes"] += len(self.alpha_primes(T)) >= 2
-            if T.r is not None:
-                ok, cert = check_alpha_generator_pow2(T.r, T.m, T.a, T.b)
-                assert (ok, self.fields(cert)) == self.expected_pow2(T), T
-                seen["pow2"] += ok
+            ok, fields = self.expected_pow2(T)
+            if ok:
+                # The paper's claim: its hypotheses give an alpha certificate,
+                # an unconditional one where its own prime's status is
+                # SquareFree, and the verdict carries it unless a congruence
+                # screen comes first.
+                assert alpha is not None, T
+                if fields[-1] is SquarefreeStatus.SQUARE_FREE:
+                    assert alpha[-1] is SquarefreeStatus.SQUARE_FREE, T
+                v = verdict(T)
+                if v.congruence is None:
+                    assert self.fields(v.alpha) == alpha, T
+                seen["pow2"] += 1
             ks = [valp(p, T.b) for p in self.primes(T)]
             seen["a=0"] += T.a == 0
             seen["a<0"] += T.a < 0
