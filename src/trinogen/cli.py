@@ -36,7 +36,7 @@ from operator import attrgetter
 from . import __version__, exactnum, ffactor, monogenity, newton, ore
 from .exactnum import factored, is_probable_prime, strip_factored, strip_p, valp
 from .exactnum import trial_factor  # noqa: F401 - bench/test_bench.py reaches it here
-from .monogenity import Trinomial, disc_trinomial, squarefree_status, verdict
+from .monogenity import Trinomial, VerdictKind, disc_trinomial, squarefree_status, verdict
 from .newton import MalformedInput
 from .polyring import PolyZ
 
@@ -194,17 +194,19 @@ def _verdict_dict(v: monogenity.MonogenityVerdict, bounds: list[dict]) -> dict:
     if v.alpha is not None:
         out["alpha"] = _alpha_dict(v.alpha, v.trinomial.n)
     if v.congruence is not None:
+        mod, T = v.congruence, v.trinomial
         out["congruence"] = {
-            "case": v.congruence.case.value,
-            "modulus": str(v.congruence.modulus),
-            "a_residue": str(v.congruence.a_residue),
-            "b_residue": str(v.congruence.b_residue),
+            "case": f"mod{mod}",
+            "modulus": str(mod),
+            "a_residue": str(T.a % mod),
+            "b_residue": str(T.b % mod),
         }
-    if v.cid_degree is not None:
+    if v.kind is VerdictKind.FIELD_NOT_MONOGENIC:
+        d, count, available = monogenity.common_index_divisor(v.splitting)
         out["common_index_divisor"] = {
-            "d": str(v.cid_degree),
-            "primes_with_f_d": str(v.cid_count),
-            "available_irreducibles": str(v.cid_available),
+            "d": str(d),
+            "primes_with_f_d": str(count),
+            "available_irreducibles": str(available),
         }
     if bounds:
         out["index_bounds"] = bounds
@@ -512,7 +514,8 @@ def _scan_row(item: tuple[int, int, int, int], classes: dict) -> dict:
         else:
             kind = v.kind.value
             witness_p = v.p
-            witness_d = v.cid_degree
+            if v.kind is VerdictKind.FIELD_NOT_MONOGENIC:
+                witness_d = monogenity.common_index_divisor(v.splitting)[0]
         bound2 = _class_index(T, classes)
     row["kind"] = kind
     row["witness_p"] = None if witness_p is None else str(witness_p)
@@ -671,10 +674,6 @@ def _sum_ef(fact: ore.OreFactorization) -> int:
     return sum(f.e * f.f for f in fact.factors)
 
 
-def _degree_one(fact: ore.OreFactorization) -> int:
-    return sum(1 for f in fact.factors if f.f == 1)
-
-
 def _pow2_criterion(v: monogenity.MonogenityVerdict) -> bool:
     """The paper's hypotheses for n = 2^r, read off an alpha certificate:
     k = nu_p(b) >= 3 is odd and nu_p(a) >= k."""
@@ -696,12 +695,12 @@ KNOWN_ANSWERS = (
      lambda v: ore.index_bound(v.trinomial.poly(), 2)),
     ("x^8+12x+3", "irreducibility", ("eisenstein", 3),
      attrgetter("irreducibility.route", "irreducibility.p")),
-    ("x^8+12x+3", "congruence case", "mod8", attrgetter("congruence.case.value")),
+    ("x^8+12x+3", "congruence case", "mod8", lambda v: f"mod{v.congruence}"),
     ("x^8+12x+3", "regular at 2", True, attrgetter("splitting.regular")),
     ("x^8+12x+3", "shapes", [(1, 1), (3, 1), (4, 1)], lambda v: _shapes(v.splitting)),
     ("x^8+12x+3", "sum e*f", 8, lambda v: _sum_ef(v.splitting)),
     ("x^8+12x+3", "degree-1 primes vs available", (3, 2),
-     attrgetter("cid_count", "cid_available")),
+     lambda v: monogenity.common_index_divisor(v.splitting)[1:]),
     ("x^8+12x+3", "verdict", ("FieldNotMonogenic", 2), attrgetter("kind.value", "p")),
     ("x^16+24x^15+8", "nu_2(disc)", 90, lambda v: strip_p(2, v.disc).nu),
     ("x^16+24x^15+8", "odd part of disc", 2**19 - 3**31 * 5**15,
@@ -712,9 +711,11 @@ KNOWN_ANSWERS = (
     ("x^16+24x^15+8", "alpha min poly 2-Eisenstein", True,
      lambda v: monogenity._is_eisenstein(v.alpha.H, 2)),
     ("x^16+24x^15+8", "verdict", "PolyNotMonogenicFieldMonogenic", attrgetter("kind.value")),
-    ("x^64-65", "pure-field screen", "mod32", attrgetter("congruence.case.value")),
+    ("x^64-65", "pure-field screen", "mod32", lambda v: f"mod{v.congruence}"),
     ("x^64-65", "regular at 2", True, attrgetter("splitting.regular")),
-    ("x^64-65", "at least 3 degree-1 primes", True, lambda v: _degree_one(v.splitting) >= 3),
+    # Over F_2, degree 1 offends exactly when there are at least 3 such primes.
+    ("x^64-65", "at least 3 degree-1 primes", True,
+     lambda v: monogenity.common_index_divisor(v.splitting)[0] == 1),
     ("x^64-65", "exponents include 8, 16, 32", True,
      lambda v: {8, 16, 32} <= {f.e for f in v.splitting.factors}),
     ("x^64-65", "verdict", ("FieldNotMonogenic", 2), attrgetter("kind.value", "p")),
@@ -723,10 +724,11 @@ KNOWN_ANSWERS = (
     ("x^16+8x+7", "four degree-1 sides", [1, 1, 1, 1],
      lambda f: [s.d for s in f.evidence[0].polygon.sides]),
     ("x^16+8x+7", "sum e*f", 16, _sum_ef),
-    ("x^16+8x+7", "four degree-1 primes", 4, _degree_one),
-    ("x^16+8x+7", "common index divisor witness", (True, 1), monogenity.common_index_divisor),
+    ("x^16+8x+7", "four degree-1 primes", 4,
+     lambda f: monogenity.common_index_divisor(f)[1]),
+    ("x^16+8x+7", "common index divisor witness", (1, 4, 2), monogenity.common_index_divisor),
     ("x^3+x^2-2x+8", "2 splits completely", [(1, 1), (1, 1), (1, 1)], _shapes),
-    ("x^3+x^2-2x+8", "common index divisor witness", (True, 1),
+    ("x^3+x^2-2x+8", "common index divisor witness", (1, 3, 2),
      monogenity.common_index_divisor),
 )
 # fmt: on

@@ -7,9 +7,10 @@ machine-checkable evidence:
   K = Q[x]/(F) — more primes of residue degree d above p than F_p has monic
   irreducibles of degree d — so no generator of Z_K exists at all.  The
   congruence screens only predict this; the verdict is emitted only after
-  the polygon engine re-derives the splitting and confirms the count.
-  Where the polygon data at 2 is not regular it can do neither, and the
-  verdict is Inconclusive.
+  the polygon engine re-derives the splitting at 2 and
+  ``common_index_divisor`` confirms the count on it.  Where the polygon
+  data at 2 is not regular it can do neither, and the verdict is
+  Inconclusive.
 * ``PolyNotMonogenicFieldMonogenic``: F itself is not monogenic (its polygon
   index is positive) but an explicit alpha = theta**x / p**y is proved to
   generate Z_K via a p-Eisenstein minimal polynomial, with the stripped
@@ -340,56 +341,35 @@ def check_alpha_generator(
 # -- congruence obstructions for n = 2**r, m = 1 ----------------------------------
 
 
-class CongruenceCase(enum.Enum):
-    MOD8 = "mod8"
-    MOD16 = "mod16"
-    MOD32 = "mod32"
-
-
-@dataclass(frozen=True)
-class CongruenceWitness:
-    """The matched congruence pattern, with the witnessing residues."""
-
-    case: CongruenceCase
-    modulus: int
-    a_residue: int
-    b_residue: int
-
-
-def check_congruence_obstruction(r: int, a: int, b: int) -> CongruenceWitness | None:
+def check_congruence_obstruction(r: int, a: int, b: int) -> int | None:
     """Screen x**(2**r) + a*x + b for a mod-2 common-index-divisor pattern.
 
     Three mutually exclusive residue patterns force (when F is irreducible)
     at least three primes of residue degree 1 above 2, which exceeds the
-    two monic linear polynomials over F_2.  This is only the prediction;
-    callers must confirm it with the polygon engine before emitting a
-    field-level verdict.
+    two monic linear polynomials over F_2.  Returns the matched modulus (8,
+    16 or 32), or None.  This is only the prediction; callers must confirm
+    it with the polygon engine before emitting a field-level verdict.
     """
     if r >= 3 and a % 8 == 4 and b % 8 == 3:
-        return CongruenceWitness(
-            case=CongruenceCase.MOD8, modulus=8, a_residue=a % 8, b_residue=b % 8
-        )
+        return 8
     if r >= 4 and a % 16 == 8 and b % 16 == 7:
-        return CongruenceWitness(
-            case=CongruenceCase.MOD16, modulus=16, a_residue=a % 16, b_residue=b % 16
-        )
+        return 16
     if r >= 4 and (a % 32, b % 32) in {(0, 31), (16, 15)}:
-        return CongruenceWitness(
-            case=CongruenceCase.MOD32, modulus=32, a_residue=a % 32, b_residue=b % 32
-        )
+        return 32
     return None
 
 
 # -- common index divisors ---------------------------------------------------------
 
 
-def common_index_divisor(fact: OreFactorization) -> tuple[bool, int | None]:
+def common_index_divisor(fact: OreFactorization) -> tuple[int, int, int] | None:
     """Does p divide the index of every generator of the field?
 
     Compares, for each residue degree d, the number P_d of primes above p
     with f = d against the number of monic irreducible degree-d polynomials
     over F_p.  Pigeonhole: a generator's minimal polynomial mod p needs P_d
-    distinct such factors.  Returns (True, least offending d) or (False, None).
+    distinct such factors.  Returns (d, P_d, irreducibles of degree d) for
+    the least offending d, or None.
     """
     if not fact.regular:
         raise ValueError("common index divisor needs a complete (regular) splitting")
@@ -397,9 +377,10 @@ def common_index_divisor(fact: OreFactorization) -> tuple[bool, int | None]:
     for factor in fact.factors:
         counts[factor.f] = counts.get(factor.f, 0) + 1
     for d in sorted(counts):
-        if counts[d] > count_monic_irreducibles(fact.p, d):
-            return True, d
-    return False, None
+        available = count_monic_irreducibles(fact.p, d)
+        if counts[d] > available:
+            return d, counts[d], available
+    return None
 
 
 # -- the verdict pipeline ----------------------------------------------------------
@@ -421,7 +402,9 @@ class MonogenityVerdict(NamedTuple):
     the verdict built the splitting to ``ore.factor_p``'s result, or to the
     message of the ``MalformedInput`` it raised.  Those primes are 2 for a
     congruence screen, and ``square_primes`` too when irreducibility is
-    only assumed and no criterion applied.  ``reached_bounds`` marks an
+    only assumed and no criterion applied.  ``congruence`` is the modulus
+    the screen matched; a FieldNotMonogenic verdict's counts are
+    ``common_index_divisor(splitting)``.  ``reached_bounds`` marks an
     Inconclusive verdict whose report lists the index bounds at
     ``square_primes``; for a certified input the report builds them.
     """
@@ -435,11 +418,8 @@ class MonogenityVerdict(NamedTuple):
     splittings: dict[int, OreFactorization | str]
     p: int | None = None
     alpha: AlphaCert | None = None
-    congruence: CongruenceWitness | None = None
+    congruence: int | None = None
     splitting: OreFactorization | None = None
-    cid_degree: int | None = None
-    cid_count: int | None = None
-    cid_available: int | None = None
     reason: str | None = None
     reached_bounds: bool = False
 
@@ -520,19 +500,18 @@ def verdict(
         )
 
     r = T.r
-    witness = None
+    modulus = None
     if r is not None and T.m == 1:
-        witness = check_congruence_obstruction(r, T.a, T.b)
+        modulus = check_congruence_obstruction(r, T.a, T.b)
     reason = "no implemented criterion covers this trinomial"
-    if witness is not None:
-        trail.append(f"congruence-screen({witness.case.value})")
+    if modulus is not None:
+        trail.append(f"congruence-screen(mod{modulus})")
         fact = splittings[2] = _splitting(T.poly(), 2)
         problem = fact if isinstance(fact, str) else None
+        cid = None
         if problem is None and fact.regular:
-            # F_2 has two monic linear polynomials, so three primes of
-            # degree 1 above 2 make 2 a common index divisor.
-            p1 = sum(1 for f in fact.factors if f.f == 1)
-            if p1 < 3:
+            cid = common_index_divisor(fact)
+            if cid is None:
                 problem = "no common index divisor was found at 2"
         if problem is not None:
             # A certified-irreducible input failing engine confirmation
@@ -543,24 +522,19 @@ def verdict(
             trail.append("assumption-contradicted")
             return result(
                 VerdictKind.INCONCLUSIVE,
-                congruence=witness,
+                congruence=modulus,
                 reason="irreducibility was assumed but could not hold: " + problem,
             )
-        if fact.regular:
-            trail.append(f"common-index-divisor(p=2, d=1, primes={p1} > 2)")
+        if cid is not None:
+            d, count, available = cid
+            trail.append(f"common-index-divisor(p=2, d={d}, primes={count} > {available})")
             return result(
-                VerdictKind.FIELD_NOT_MONOGENIC,
-                p=2,
-                congruence=witness,
-                splitting=fact,
-                cid_degree=1,
-                cid_count=p1,
-                cid_available=count_monic_irreducibles(2, 1),
+                VerdictKind.FIELD_NOT_MONOGENIC, p=2, congruence=modulus, splitting=fact
             )
         # The polygons at 2 neither confirm nor refute the screen's prediction.
         trail.append("screen-unconfirmed(p=2, not regular)")
         reason = (
-            f"congruence pattern {witness.case.value} matched, but the polygon "
+            f"congruence pattern mod{modulus} matched, but the polygon "
             "data at 2 is not regular, so 2 is not confirmed as a common index "
             f"divisor; the order-1 index lower bound at 2 is {fact.index_lower_bound}"
         )
@@ -586,10 +560,10 @@ def verdict(
             trail.append("assumption-contradicted")
             return result(
                 VerdictKind.INCONCLUSIVE,
-                congruence=witness,
+                congruence=modulus,
                 reason="irreducibility was assumed but could not hold: " + errors[-1],
                 reached_bounds=True,
             )
-    if witness is None:
+    if modulus is None:
         trail.append("no-criterion-applied")
-    return result(VerdictKind.INCONCLUSIVE, congruence=witness, reason=reason, reached_bounds=True)
+    return result(VerdictKind.INCONCLUSIVE, congruence=modulus, reason=reason, reached_bounds=True)

@@ -11,8 +11,17 @@ from fractions import Fraction
 
 import pytest
 
+from trinogen.cli import KNOWN_ANSWERS
 from trinogen.monogenity import Trinomial
 from trinogen.polyring import PolyZ
+
+
+def known_answer(fixture: str, check: str):
+    """The expected value of one ``trinogen verify`` row, so a test that
+    builds the same fact another way compares it with the table's answer
+    instead of writing the answer again."""
+    (expected,) = [e for f, c, e, _ in KNOWN_ANSWERS if (f, c) == (fixture, check)]
+    return expected
 
 
 def random_trinomial(rng: random.Random, max_n: int = 64) -> Trinomial:

@@ -1088,6 +1088,24 @@ def test_one_alpha_route():
     assert "polygon_index" not in {f.name for f in dataclasses.fields(monogenity.AlphaCert)}
 
 
+def test_one_pigeonhole_rule():
+    # common_index_divisor is the one comparison against the irreducible
+    # count, and every FieldNotMonogenic number is read from it.
+    package = Path(trinogen.__file__).parent
+    callers = []
+    sources = {}
+    for path in sorted(package.glob("*.py")):
+        sources[path.name] = source = path.read_text(encoding="utf-8")
+        for func in ast.walk(ast.parse(source)):
+            if isinstance(func, ast.FunctionDef):
+                callers += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                            if isinstance(node, ast.Name) and node.id == "count_monic_irreducibles"]
+    assert callers == ["monogenity.common_index_divisor"]
+    for name in ("CongruenceCase", "CongruenceWitness", "cid_degree", "cid_count",
+                 "cid_available", "_degree_one"):
+        assert not [f for f, source in sources.items() if name in source], name
+
+
 # -- console script ----------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from trinogen.cli import build_report
 from trinogen.exactnum import count_monic_irreducibles, strip_p, valp
 from trinogen.monogenity import (
     AlphaCert,
-    CongruenceCase,
     MonogenityVerdict,
     SquarefreeStatus,
     Trinomial,
@@ -34,7 +33,7 @@ from trinogen.monogenity import (
 from trinogen.ore import factor_p
 from trinogen.polyring import PolyZ, discriminant, phi_expand, power_charpoly
 
-from conftest import sympy_poly
+from conftest import known_answer, sympy_poly
 
 
 def sympy_irreducible(f: PolyZ) -> bool:
@@ -594,40 +593,32 @@ class TestPerPrimeGates:
 
 class TestCongruenceObstruction:
     def test_mod8_pattern(self):
-        w = check_congruence_obstruction(3, 12, 3)
-        assert w is not None
-        assert w.case is CongruenceCase.MOD8
-        assert (w.modulus, w.a_residue, w.b_residue) == (8, 4, 3)
+        assert check_congruence_obstruction(3, 12, 3) == 8
 
     def test_mod16_pattern(self):
-        w = check_congruence_obstruction(4, 8, 7)
-        assert w is not None
-        assert w.case is CongruenceCase.MOD16
-        assert (w.modulus, w.a_residue, w.b_residue) == (16, 8, 7)
+        assert check_congruence_obstruction(4, 8, 7) == 16
 
     def test_mod32_patterns(self):
-        w = check_congruence_obstruction(6, 0, -65)
-        assert w is not None and w.case is CongruenceCase.MOD32
-        assert (w.a_residue, w.b_residue) == (0, 31)
-        w = check_congruence_obstruction(4, 16, 15)
-        assert w is not None and w.case is CongruenceCase.MOD32
-        assert (w.a_residue, w.b_residue) == (16, 15)
-        w = check_congruence_obstruction(4, 48, 47)
-        assert w is not None and w.case is CongruenceCase.MOD32
-        assert (w.a_residue, w.b_residue) == (16, 15)
+        assert check_congruence_obstruction(6, 0, -65) == 32
+        assert check_congruence_obstruction(4, 16, 15) == 32
+        assert check_congruence_obstruction(4, 48, 47) == 32
 
     def test_negative_inputs_reduce_to_canonical_residues(self):
-        w = check_congruence_obstruction(3, -4, -5)
-        assert w is not None and w.case is CongruenceCase.MOD8
-        assert (w.a_residue, w.b_residue) == (4, 3)
+        assert check_congruence_obstruction(3, -4, -5) == 8
+        # The report derives the residues from the trinomial and the modulus;
+        # x^8 - 20x - 5 is 5-Eisenstein.
+        T = Trinomial(8, 1, -20, -5)
+        assert build_report(T, verdict(T))["verdict"]["congruence"] == {
+            "case": "mod8", "modulus": "8", "a_residue": "4", "b_residue": "3"
+        }
 
     def test_r_thresholds(self):
         assert check_congruence_obstruction(2, 4, 3) is None
-        assert check_congruence_obstruction(3, 4, 3) is not None
+        assert check_congruence_obstruction(3, 4, 3) == 8
         assert check_congruence_obstruction(3, 8, 7) is None
-        assert check_congruence_obstruction(4, 8, 7) is not None
+        assert check_congruence_obstruction(4, 8, 7) == 16
         assert check_congruence_obstruction(3, 0, 31) is None
-        assert check_congruence_obstruction(4, 0, 31) is not None
+        assert check_congruence_obstruction(4, 0, 31) == 32
 
     def test_non_matching_residues(self):
         assert check_congruence_obstruction(5, 4, 5) is None
@@ -637,20 +628,20 @@ class TestCongruenceObstruction:
 
     def test_patterns_are_mutually_exclusive(self):
         # For every residue pair mod 32 at most one pattern can fire, and
-        # the returned case is exactly the raw condition that matched.
+        # the returned modulus is exactly the raw condition that matched.
         for a in range(32):
             for b in range(1, 33):
                 fired = {
-                    CongruenceCase.MOD8: a % 8 == 4 and b % 8 == 3,
-                    CongruenceCase.MOD16: a % 16 == 8 and b % 16 == 7,
-                    CongruenceCase.MOD32: (a % 32, b % 32) in {(0, 31), (16, 15)},
+                    8: a % 8 == 4 and b % 8 == 3,
+                    16: a % 16 == 8 and b % 16 == 7,
+                    32: (a % 32, b % 32) in {(0, 31), (16, 15)},
                 }
                 assert sum(fired.values()) <= 1, (a, b)
-                w = check_congruence_obstruction(5, a, b)
-                if w is None:
+                modulus = check_congruence_obstruction(5, a, b)
+                if modulus is None:
                     assert not any(fired.values()), (a, b)
                 else:
-                    assert fired[w.case], (a, b)
+                    assert fired[modulus], (a, b)
 
 
 # -- common index divisors ---------------------------------------------------------------
@@ -662,17 +653,20 @@ class TestCommonIndexDivisor:
         # primes versus only two monic linear polynomials over F_2.
         fact = factor_p(PolyZ((8, -2, 1, 1)), 2)
         assert sorted((f.e, f.f) for f in fact.factors) == [(1, 1), (1, 1), (1, 1)]
-        assert common_index_divisor(fact) == (True, 1)
+        assert common_index_divisor(fact) == known_answer(
+            "x^3+x^2-2x+8", "common index divisor witness"
+        )
 
     def test_degree_eight_fixture(self):
         fact = factor_p(Trinomial(8, 1, 12, 3).poly(), 2)
-        assert common_index_divisor(fact) == (True, 1)
+        count, available = known_answer("x^8+12x+3", "degree-1 primes vs available")
+        assert common_index_divisor(fact) == (1, count, available)
 
     def test_negative_case(self):
         fact = factor_p(Trinomial(8, 1, 8, 8).poly(), 2)
-        assert common_index_divisor(fact) == (False, None)
+        assert common_index_divisor(fact) is None
         fact = factor_p(PolyZ((1, 3, 1)), 2)
-        assert common_index_divisor(fact) == (False, None)
+        assert common_index_divisor(fact) is None
 
     def test_degree_two_witness(self):
         # (x^2 - x - 1)^2 + 2(x^2 - x - 1) + 4: two primes of residue
@@ -682,7 +676,7 @@ class TestCommonIndexDivisor:
         assert fact.regular
         assert sorted((f.e, f.f) for f in fact.factors) == [(1, 2), (1, 2)]
         assert count_monic_irreducibles(2, 2) == 1
-        assert common_index_divisor(fact) == (True, 2)
+        assert common_index_divisor(fact) == (2, 2, 1)
 
     def test_requires_regular_splitting(self):
         fact = factor_p(PolyZ((4, 4, 1)), 2)
@@ -691,16 +685,16 @@ class TestCommonIndexDivisor:
             common_index_divisor(fact)
 
     def test_pigeonhole_recount(self):
-        # Re-derive the verdict from raw counts for each fixture.
-        for coeffs, n in [((8, -2, 1, 1), 3), ((3, 0, 1, -2, 1), 4)]:
+        # Re-derive the witness from raw counts for each fixture.
+        for coeffs in [(8, -2, 1, 1), (3, 0, 1, -2, 1), (8, 8, 0, 0, 0, 0, 0, 0, 1)]:
             fact = factor_p(PolyZ(coeffs), 2)
             counts = {}
             for f in fact.factors:
                 counts[f.f] = counts.get(f.f, 0) + 1
-            expected = (False, None)
+            expected = None
             for d in sorted(counts):
                 if counts[d] > count_monic_irreducibles(2, d):
-                    expected = (True, d)
+                    expected = (d, counts[d], count_monic_irreducibles(2, d))
                     break
             assert common_index_divisor(fact) == expected
 
@@ -754,9 +748,10 @@ class TestVerdictPipeline:
             "congruence-screen(mod8)",
             "common-index-divisor(p=2, d=1, primes=3 > 2)",
         )
-        assert (v.p, v.cid_degree, v.cid_count, v.cid_available) == (2, 1, 3, 2)
-        assert v.congruence is not None and v.congruence.case is CongruenceCase.MOD8
+        count, available = known_answer("x^8+12x+3", "degree-1 primes vs available")
+        assert (v.p, v.congruence) == (2, 8)
         assert v.splitting is not None and v.splitting.regular
+        assert common_index_divisor(v.splitting) == (1, count, available)
         assert sorted((f.e, f.f) for f in v.splitting.factors) == [(1, 1), (3, 1), (4, 1)]
 
     def test_field_not_monogenic_mod32_pure(self):
@@ -767,7 +762,8 @@ class TestVerdictPipeline:
             "congruence-screen(mod32)",
             "common-index-divisor(p=2, d=1, primes=4 > 2)",
         )
-        assert (v.cid_degree, v.cid_count, v.cid_available) == (1, 4, 2)
+        assert v.congruence == 32
+        assert common_index_divisor(v.splitting) == (1, 4, 2)
 
     # A screen whose polygon data at 2 is not regular: the order-1 index
     # bound at 2 is 15, and no splitting of 2 is known.
@@ -787,11 +783,11 @@ class TestVerdictPipeline:
             "screen-unconfirmed(p=2, not regular)",
         )
         assert v.reason == self.UNCONFIRMED_REASON
-        assert v.congruence.case is CongruenceCase.MOD32 and v.reached_bounds
+        assert v.congruence == 32 and v.reached_bounds
         assert [(p, s.regular, s.index_lower_bound) for p, s in v.splittings.items()] == [
             (2, False, 15)
         ]
-        assert v.p is None and v.cid_degree is None
+        assert v.p is None and v.splitting is None
 
     def test_assumed_screen_not_2_regular_is_inconclusive(self):
         # x^16 - 176x + 15 carries no certificate; under the assumption the
@@ -870,7 +866,19 @@ class TestVerdictPipeline:
             "irreducibility was assumed but could not hold: "
             "input is divisible by x - 1, hence reducible"
         )
-        assert v.congruence is not None
+        assert v.congruence == 8
+
+    def test_screen_decides_at_the_least_offending_degree(self, monkeypatch):
+        # A regular splitting at 2 with no degree-1 excess but two primes of
+        # residue degree 2 (one irreducible quadratic over F_2) still makes
+        # 2 a common index divisor.  No screen input tried reaches this, so
+        # the splitting at 2 is that of (x^2 - x - 1)^2 + 2(x^2 - x - 1) + 4.
+        fact = factor_p(PolyZ((3, 0, 1, -2, 1)), 2)
+        monkeypatch.setattr(monogenity, "_splitting", lambda F, p: fact)
+        v = verdict(Trinomial(8, 1, 12, 3))
+        assert v.kind is VerdictKind.FIELD_NOT_MONOGENIC
+        assert v.trail[-1] == "common-index-divisor(p=2, d=2, primes=2 > 1)"
+        assert (v.p, v.splitting) == (2, fact)
 
     @pytest.fixture
     def split_calls(self, monkeypatch):
