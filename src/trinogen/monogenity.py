@@ -404,9 +404,9 @@ class MonogenityVerdict(NamedTuple):
     congruence screen, and ``square_primes`` too when irreducibility is
     only assumed and no criterion applied.  ``congruence`` is the modulus
     the screen matched; a FieldNotMonogenic verdict's counts are
-    ``common_index_divisor(splitting)``.  ``reached_bounds`` marks an
-    Inconclusive verdict whose report lists the index bounds at
-    ``square_primes``; for a certified input the report builds them.
+    ``common_index_divisor(splitting)``.  An Inconclusive verdict past the
+    irreducibility stage has its index bounds read at ``square_primes``;
+    for a certified input the report builds them.
     """
 
     trinomial: Trinomial
@@ -421,7 +421,6 @@ class MonogenityVerdict(NamedTuple):
     congruence: int | None = None
     splitting: OreFactorization | None = None
     reason: str | None = None
-    reached_bounds: bool = False
 
 
 def square_primes(disc: int) -> list[int]:
@@ -504,40 +503,33 @@ def verdict(
     if r is not None and T.m == 1:
         modulus = check_congruence_obstruction(r, T.a, T.b)
     reason = "no implemented criterion covers this trinomial"
+    problem = None
     if modulus is not None:
         trail.append(f"congruence-screen(mod{modulus})")
         fact = splittings[2] = _splitting(T.poly(), 2)
-        problem = fact if isinstance(fact, str) else None
-        cid = None
-        if problem is None and fact.regular:
-            cid = common_index_divisor(fact)
-            if cid is None:
-                problem = "no common index divisor was found at 2"
-        if problem is not None:
-            # A certified-irreducible input failing engine confirmation
-            # means the code is wrong; a merely assumed one means the
-            # assumption was wrong, which is the user's honest answer.
-            if irr is not None:
-                raise InternalContradiction(f"congruence screen matched but {problem}")
-            trail.append("assumption-contradicted")
-            return result(
-                VerdictKind.INCONCLUSIVE,
-                congruence=modulus,
-                reason="irreducibility was assumed but could not hold: " + problem,
+        if isinstance(fact, str):
+            problem = fact
+        elif not fact.regular:
+            # The polygons at 2 neither confirm nor refute the prediction.
+            trail.append("screen-unconfirmed(p=2, not regular)")
+            reason = (
+                f"congruence pattern mod{modulus} matched, but the polygon "
+                "data at 2 is not regular, so 2 is not confirmed as a common index "
+                f"divisor; the order-1 index lower bound at 2 is {fact.index_lower_bound}"
             )
-        if cid is not None:
+        elif (cid := common_index_divisor(fact)) is None:
+            problem = "no common index divisor was found at 2"
+        else:
             d, count, available = cid
             trail.append(f"common-index-divisor(p=2, d={d}, primes={count} > {available})")
             return result(
                 VerdictKind.FIELD_NOT_MONOGENIC, p=2, congruence=modulus, splitting=fact
             )
-        # The polygons at 2 neither confirm nor refute the screen's prediction.
-        trail.append("screen-unconfirmed(p=2, not regular)")
-        reason = (
-            f"congruence pattern mod{modulus} matched, but the polygon "
-            "data at 2 is not regular, so 2 is not confirmed as a common index "
-            f"divisor; the order-1 index lower bound at 2 is {fact.index_lower_bound}"
-        )
+        # A certified-irreducible input failing engine confirmation means the
+        # code is wrong; a merely assumed one means the assumption was wrong,
+        # which is the user's honest answer.
+        if problem is not None and irr is not None:
+            raise InternalContradiction(f"congruence screen matched but {problem}")
     else:
         alpha = check_alpha_generator(T, gate, disc)
         if alpha is not None:
@@ -556,14 +548,10 @@ def verdict(
             if p not in splittings:
                 splittings[p] = _splitting(F, p)
         errors = [s for s in splittings.values() if isinstance(s, str)]
-        if errors:
-            trail.append("assumption-contradicted")
-            return result(
-                VerdictKind.INCONCLUSIVE,
-                congruence=modulus,
-                reason="irreducibility was assumed but could not hold: " + errors[-1],
-                reached_bounds=True,
-            )
-    if modulus is None:
+        problem = problem or (errors[-1] if errors else None)
+    if problem is not None:
+        trail.append("assumption-contradicted")
+        reason = "irreducibility was assumed but could not hold: " + problem
+    elif modulus is None:
         trail.append("no-criterion-applied")
-    return result(VerdictKind.INCONCLUSIVE, congruence=modulus, reason=reason, reached_bounds=True)
+    return result(VerdictKind.INCONCLUSIVE, congruence=modulus, reason=reason)

@@ -383,12 +383,12 @@ class TestScopeBoundary:
         # divisor witness (divisibility of every generator's index) ...
         T = Trinomial(8, 1, 12, 3)
         count, available = known_answer("x^8+12x+3", "degree-1 primes vs available")
-        assert build_report(T, verdict(T))["verdict"]["common_index_divisor"] == {
+        assert build_report(verdict(T))["verdict"]["common_index_divisor"] == {
             "d": "1", "primes_with_f_d": str(count), "available_irreducibles": str(available)
         }
         # ... exact-or-lower index bounds at the bad primes ...
         T = Trinomial(4, 1, 4, 4)
-        bounds = build_report(T, verdict(T, assume_irreducible=True))["verdict"]["index_bounds"]
+        bounds = build_report(verdict(T, assume_irreducible=True))["verdict"]["index_bounds"]
         assert bounds and all(int(e["bound"]) >= 1 for e in bounds)
         # ... and squarefree statuses that admit honest uncertainty.
         v = verdict(Trinomial(16, 1, 8, 56))

@@ -13,6 +13,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import math
 import os
@@ -193,14 +194,51 @@ class TestAnalyzeJson:
         assert report["verdict"]["irreducibility"] is None
         assert report["verdict"]["irreducibility_assumed"] is True
 
+    def test_assumption_contradicted_at_every_square_prime(self, capsys):
+        # x^4 + 2x - 3 has the root 1, which the engine finds at both square
+        # primes of its discriminant, so no index bound is left to list.
+        argv = ("--n", "4", "--a", "2", "--b", "-3", "--assume-irreducible")
+        code, report, _ = analyze_json(capsys, *argv)
+        assert code == EXIT_OK
+        v = report["verdict"]
+        assert v["trail"] == ["irreducible(assumed)", "assumption-contradicted"]
+        assert v["reason"] == ("irreducibility was assumed but could not hold: "
+                               "input is divisible by x - 1, hence reducible")
+        assert "index_bounds" not in v
+        code, text, _ = run_cli(capsys, "analyze", *argv)
+        assert code == EXIT_OK
+        for p in (2, 3):
+            assert f"prime {p}: input is divisible by x - 1, hence reducible\n" in text
+
+    def test_assumption_contradicted_at_the_screen_lists_other_bounds(self, capsys):
+        # x^16 - 12x + 11 matches the mod-8 screen and has the root 1, found
+        # at 2; the other square prime, 7, still has its index bound listed.
+        argv = ("--n", "16", "--a", "-12", "--b", "11", "--assume-irreducible")
+        code, report, _ = analyze_json(capsys, *argv)
+        assert code == EXIT_OK
+        v = report["verdict"]
+        assert v["trail"] == [
+            "irreducible(assumed)", "congruence-screen(mod8)", "assumption-contradicted"
+        ]
+        assert v["index_bounds"] == [{"p": "7", "bound": "1", "exact": True}]
+        code, text, _ = run_cli(capsys, "analyze", *argv)
+        assert code == EXIT_OK
+        assert "  index at 7: 1 (exact)\n" in text
+
+    def test_zero_discriminant_with_only_p(self, capsys):
+        # x^2 + 2x + 1 = (x + 1)^2: no discriminant prime to list at --p 2.
+        code, report, _ = analyze_json(capsys, "--n", "2", "--a", "2", "--b", "1", "--p", "2")
+        assert code == EXIT_UNCERTIFIED
+        assert report["discriminant"]["primes"] == []
+        assert [e["p"] for e in report["evidence"]] == ["2"]
+        assert report["verdict"]["trail"] == ["zero-discriminant"]
+
 
 class TestAnalyzeText:
     def test_text_is_default_and_projection_of_json(self, capsys):
         code, text, _ = run_cli(capsys, "analyze", "--n", "8", "--a", "8", "--b", "8")
         assert code == EXIT_OK
-        report = build_report(
-            Trinomial(8, 1, 8, 8), verdict(Trinomial(8, 1, 8, 8))
-        )
+        report = build_report(verdict(Trinomial(8, 1, 8, 8)))
         assert text == render_text(report)
         assert str(2**24 * 1273609) in text
         assert "2^24 * 1273609" in text
@@ -785,8 +823,8 @@ def test_scan_rows_compute_no_index_bounds(monkeypatch):
 def test_scan_rows_match_rows_with_bounds_forced(capsys, tmp_path, monkeypatch, box, jobs):
     def forcing_verdict(T, _real=cli.verdict, **kwargs):
         v = _real(T, **kwargs)
-        if v.reached_bounds:
-            build_report(T, v)  # what a report on each Inconclusive row computes
+        if v.irreducibility is not None:
+            build_report(v)  # what a report on each certified row computes
         return v
 
     monkeypatch.setattr(cli, "verdict", forcing_verdict)
@@ -823,10 +861,10 @@ def test_report_bounds_equal_eager_bounds(rng, degrees, coprime_m):
     reported = 0
     for T, v in certified_inconclusive(rng, degrees, coprime_m):
         # The verdict left the bounds to the report.
-        assert v.reached_bounds and v.splittings == {}
-        lazy = build_report(T, v)
+        assert v.splittings == {}
+        lazy = build_report(v)
         square = monogenity.square_primes(v.disc)
-        eager = build_report(T, v._replace(
+        eager = build_report(v._replace(
             splittings={p: ore.factor_p(T.poly(), p) for p in square}))
         assert json.dumps(lazy, indent=2) == json.dumps(eager, indent=2)
         assert render_text(lazy) == render_text(eager)
@@ -855,7 +893,7 @@ def test_bounds_contradiction_raised_by_report_not_scan_row(capsys, monkeypatch)
     assert mask_runtime([cli._scan_row((3, 1, -16, 10), {})]) == row
     v = verdict(T)
     with pytest.raises(InternalContradiction, match="planted rational factor"):
-        build_report(T, v)
+        build_report(v)
     # main lets it propagate; only the console entry point turns it into an exit code.
     with pytest.raises(InternalContradiction, match="planted rational factor"):
         main(["analyze", "--n", "8", "--a", "-16", "--b", "10"])
@@ -1086,6 +1124,18 @@ def test_one_alpha_route():
     assert builders == ["monogenity.check_alpha_generator"]
     assert not hasattr(monogenity, "check_alpha_generator_pow2")
     assert "polygon_index" not in {f.name for f in dataclasses.fields(monogenity.AlphaCert)}
+
+
+def test_one_contradiction_exit():
+    # A contradicted assumption leaves verdict by one exit, and the report
+    # reads everything, the trinomial included, off the verdict's record.
+    package = Path(trinogen.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "reached_bounds" in path.read_text(encoding="utf-8")] == []
+    source = inspect.getsource(monogenity.verdict)
+    assert source.count('trail.append("assumption-contradicted")') == 1
+    first = next(iter(inspect.signature(build_report).parameters.values()))
+    assert first.annotation == "monogenity.MonogenityVerdict"
 
 
 def test_one_pigeonhole_rule():

@@ -326,7 +326,7 @@ class TestCheckAlphaGenerator:
             cert = check_alpha_generator(T)
             closed_form = (T.n - 1) * (cert.k - 1) // 2
             assert one_sided_index(T, cert.p) == closed_form
-            alpha = build_report(T, verdict(T))["verdict"]["alpha"]
+            alpha = build_report(verdict(T))["verdict"]["alpha"]
             assert alpha["polygon_index"] == str(closed_form)
 
     def test_exponent_identity(self):
@@ -608,7 +608,7 @@ class TestCongruenceObstruction:
         # The report derives the residues from the trinomial and the modulus;
         # x^8 - 20x - 5 is 5-Eisenstein.
         T = Trinomial(8, 1, -20, -5)
-        assert build_report(T, verdict(T))["verdict"]["congruence"] == {
+        assert build_report(verdict(T))["verdict"]["congruence"] == {
             "case": "mod8", "modulus": "8", "a_residue": "4", "b_residue": "3"
         }
 
@@ -763,7 +763,9 @@ class TestVerdictPipeline:
             "common-index-divisor(p=2, d=1, primes=4 > 2)",
         )
         assert v.congruence == 32
-        assert common_index_divisor(v.splitting) == (1, 4, 2)
+        assert common_index_divisor(v.splitting) == known_answer(
+            "x^64-65", "common index divisor witness"
+        )
 
     # A screen whose polygon data at 2 is not regular: the order-1 index
     # bound at 2 is 15, and no splitting of 2 is known.
@@ -783,7 +785,7 @@ class TestVerdictPipeline:
             "screen-unconfirmed(p=2, not regular)",
         )
         assert v.reason == self.UNCONFIRMED_REASON
-        assert v.congruence == 32 and v.reached_bounds
+        assert v.congruence == 32
         assert [(p, s.regular, s.index_lower_bound) for p, s in v.splittings.items()] == [
             (2, False, 15)
         ]
@@ -800,10 +802,11 @@ class TestVerdictPipeline:
             "screen-unconfirmed(p=2, not regular)",
         )
         assert v.reason == self.UNCONFIRMED_REASON
-        assert v.irreducibility_assumed and v.reached_bounds
+        assert v.irreducibility_assumed
         assert [(p, s.regular, s.index_lower_bound) for p, s in v.splittings.items()] == [
             (2, False, 15), (3, True, 0), (5, True, 0)
         ]
+        assert [e["p"] for e in build_report(v)["verdict"]["index_bounds"]] == ["2", "3", "5"]
 
     def test_mod16_pattern_needs_assumption(self):
         # x^16 + 8x + 7 matches the mod-16 residue pattern but carries no
@@ -846,7 +849,7 @@ class TestVerdictPipeline:
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert v.trail == ("irreducible(assumed)", "no-criterion-applied")
-        assert v.irreducibility_assumed and v.reached_bounds
+        assert v.irreducibility_assumed
         assert [(p, s.index_lower_bound, s.regular) for p, s in v.splittings.items()] == [
             (2, 2, False)
         ]
@@ -867,6 +870,8 @@ class TestVerdictPipeline:
             "input is divisible by x - 1, hence reducible"
         )
         assert v.congruence == 8
+        # The contradiction exit still builds the splittings at the square primes.
+        assert list(v.splittings) == [2, 3]
 
     def test_screen_decides_at_the_least_offending_degree(self, monkeypatch):
         # A regular splitting at 2 with no degree-1 excess but two primes of
@@ -899,8 +904,8 @@ class TestVerdictPipeline:
         T = Trinomial(8, 1, -16, 10)
         v = verdict(T)
         assert v.trail == ("irreducible(eisenstein, p=2)", "no-criterion-applied")
-        assert v.reached_bounds and v.splittings == {} and split_calls == []
-        assert build_report(T, v)["verdict"]["index_bounds"] == [
+        assert v.splittings == {} and split_calls == []
+        assert build_report(v)["verdict"]["index_bounds"] == [
             {"p": "2", "bound": "0", "exact": True},
             {"p": "3", "bound": "1", "exact": True},
         ]
@@ -910,7 +915,7 @@ class TestVerdictPipeline:
         T = Trinomial(4, 1, 4, 4)
         v = verdict(T, assume_irreducible=True)
         assert split_calls == [2]
-        report = build_report(T, v)
+        report = build_report(v)
         assert report["verdict"]["index_bounds"] == [{"p": "2", "bound": "2", "exact": False}]
         assert report["evidence"][0]["index_lower_bound"] == "2"
         assert split_calls == [2]
@@ -919,9 +924,7 @@ class TestVerdictPipeline:
         "T", [Trinomial(8, 1, 8, 8), Trinomial(8, 1, 12, 3), Trinomial(2, 1, 1, -1)]
     )
     def test_no_bounds_before_the_bound_stage(self, T):
-        v = verdict(T)
-        assert not v.reached_bounds
-        assert "index_bounds" not in build_report(T, v)["verdict"]
+        assert "index_bounds" not in build_report(verdict(T))["verdict"]
 
     def test_index_bounds_bound_valuation(self):
         v = verdict(Trinomial(4, 1, 4, 4), assume_irreducible=True)
